@@ -166,11 +166,6 @@ class Tape:
             t.grad = gin if t.grad is None else t.grad + gin
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Run the reverse pass from a scalar loss node."""
-    tape.backward(loss)
-
-
 def _as_tensor(x, like: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         return x

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import load_checkpoint
 from .data import (
     Dataset,
     gen_digits,
@@ -31,34 +32,17 @@ from .data import (
 from .distributions import logitnormal_pdf
 from .errors import ConfigError, MaskoError
 from .evaluate import collapse_distribution, eval_fixed_mask, export_covariance
-from .samplers import kind_of
-from .training import TrainConfig, load_checkpoint, train_loop
+from .model import DECODER_KINDS
+from .samplers import KINDS
+from .training import TrainConfig, train_loop
 
 DATASET_KINDS = ("digits", "field", "idx")
 
 
 @dataclass
-class RunConfig:
-    """Training configuration plus dataset selection and output options."""
+class RunConfig(TrainConfig):
+    """The training configuration plus dataset selection and output options."""
 
-    # optimization
-    n: int = 28
-    sampler: str = "vanilla"
-    decoder: str = "mlp"
-    epochs: int = 20
-    batch_size: int = 128
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    lam_sparse: float = 0.1
-    lam_temp: float = 0.3
-    gamma: float = -0.1
-    eta: float = 1.1
-    seed: int = 0
-    latent_dim: int = 16
-    rep_width: int = 32
-    hidden: int = 256
-    filters: int = 16
     # dataset selection
     dataset: str = "digits"
     data_count: int = 2400
@@ -76,14 +60,15 @@ class RunConfig:
     cov_size: int = 64
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.mc_samples < 1:
+            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
         if self.dataset not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.dataset!r}; expected {DATASET_KINDS}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-
-    def train_config(self) -> TrainConfig:
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(**{k: v for k, v in dataclasses.asdict(self).items() if k in fields})
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -127,19 +112,13 @@ def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         n_train = cfg.data_count - n_test
         if n_train < 1:
             raise ConfigError("dataset too small for the requested test fraction")
-        labels = full.labels if full.labels is not None else None
-        train = Dataset(
-            images=full.images[:n_train],
-            split="train",
-            source=full.source,
-            labels=None if labels is None else labels[:n_train],
-        )
-        test = Dataset(
-            images=full.images[n_train:],
-            split="test",
-            source=full.source,
-            labels=None if labels is None else labels[n_train:],
-        )
+
+        def part(rows: slice, split: str) -> Dataset:
+            labels = None if full.labels is None else full.labels[rows]
+            return Dataset(images=full.images[rows], split=split, source=full.source, labels=labels)
+
+        train = part(slice(None, n_train), "train")
+        test = part(slice(n_train, None), "test")
     for ds in (train, test):
         if ds.n != cfg.n:
             raise ConfigError(f"dataset images are {ds.n}x{ds.n} but config n={cfg.n}")
@@ -154,9 +133,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _write_config_echo(cfg: RunConfig, out: Path) -> None:
-    with open(out / "config.json", "w") as f:
-        json.dump(dataclasses.asdict(cfg), f, indent=2, sort_keys=True)
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -165,14 +144,13 @@ def cmd_train(args) -> int:
     train, _ = resolve_datasets(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_config_echo(cfg, out)
-    result = train_loop(train.images, cfg.train_config(), out_dir=out)
-    last = result.metrics[-1] if result.metrics else None
-    if last is not None:
-        print(
-            f"trained {cfg.sampler}/{cfg.decoder} for {cfg.epochs} epochs: "
-            f"recon={last.recon_mse:.6f} sparsity={last.sparsity_l0:.6f}"
-        )
+    _write_json(out / "config.json", dataclasses.asdict(cfg))
+    result = train_loop(train.images, cfg, out_dir=out)
+    last = result.metrics[-1]
+    print(
+        f"trained {cfg.sampler}/{cfg.decoder} for {cfg.epochs} epochs: "
+        f"recon={last.recon_mse:.6f} sparsity={last.sparsity_l0:.6f}"
+    )
     print(f"artifacts in {out}")
     return 0
 
@@ -187,12 +165,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     rows = []
-    seen = set()
-    for mask in collapsed.masks:
-        k = int(mask.sum())
-        if k in seen:
-            continue
-        seen.add(k)
+    # equal sizes give identical top-K masks; score each size once
+    for k, mask in {int(mask.sum()): mask for mask in collapsed.masks}.items():
         mse = eval_fixed_mask(mask, dec, test.images)
         rows.append([k, float(mse)])
         print(f"mask {k:5d} pixels: test mse {mse:.6f}")
@@ -220,14 +194,12 @@ def cmd_collapse(args) -> int:
         idx = np.flatnonzero(mask.reshape(-1))
         _write_csv(out / f"mask_{k}.csv", ["pixel_index"], [[int(i)] for i in idx])
     summary = {
-        "kind": kind_of(params),
+        "kind": params.kind,
         "n": n,
         "l0_estimate": collapsed.l0_estimate,
         "mask_sizes": collapsed.mask_sizes,
     }
-    with open(out / "collapse.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "collapse.json", summary)
     print(f"l0_estimate={collapsed.l0_estimate!r} masks={collapsed.mask_sizes}")
     return 0
 
@@ -257,12 +229,10 @@ def cmd_gen_data(args) -> int:
         write_idx_images(full.images[n_train:], out / "test-images.idx", dtype="u8")
         write_idx_labels(full.labels[:n_train], out / "train-labels.idx")
         write_idx_labels(full.labels[n_train:], out / "test-labels.idx")
-    elif args.kind == "field":
+    else:  # "field"; the parser allows no other kind
         full = gen_gaussian_random_field(args.count, args.side, args.slope, seed=args.seed)
         write_idx_images(full.images[:n_train], out / "train-images.idx", dtype="f64")
         write_idx_images(full.images[n_train:], out / "test-images.idx", dtype="f64")
-    else:
-        raise ConfigError(f"unknown kind {args.kind!r}")
     print(f"wrote {n_train} train / {n_test} test images under {out}")
     return 0
 
@@ -293,8 +263,8 @@ def _add_config_flags(p: argparse.ArgumentParser, training: bool = True) -> None
     p.add_argument("--seed", type=int)
     p.add_argument("--mc-samples", dest="mc_samples", type=int)
     if training:
-        p.add_argument("--sampler", choices=("vanilla", "hypernet", "independent", "concrete"))
-        p.add_argument("--decoder", choices=("mlp", "conv_resnet"))
+        p.add_argument("--sampler", choices=tuple(KINDS))
+        p.add_argument("--decoder", choices=tuple(DECODER_KINDS))
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--lr", type=float)

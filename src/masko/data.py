@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .checkpoint import read_exact
 from .errors import ConfigError, FormatError
 from .rng import STREAM_DATA, stream
 
@@ -45,15 +46,8 @@ class Dataset:
         return self.images.shape[1]
 
 
-def _read_exact(f, count: int) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise FormatError(f"file truncated: wanted {count} bytes, got {len(data)}")
-    return data
-
-
 def _read_be32(f) -> int:
-    return struct.unpack(">I", _read_exact(f, 4))[0]
+    return struct.unpack(">I", read_exact(f, 4))[0]
 
 
 def load_idx(images_path, labels_path=None, split: str = "full") -> Dataset:
@@ -68,10 +62,10 @@ def load_idx(images_path, labels_path=None, split: str = "full") -> Dataset:
         if rows != cols:
             raise FormatError(f"only square images are supported, got {rows}x{cols}")
         if magic == IDX_IMAGES_U8:
-            raw = _read_exact(f, count * rows * cols)
+            raw = read_exact(f, count * rows * cols)
             images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
         else:
-            raw = _read_exact(f, count * rows * cols * 8)
+            raw = read_exact(f, count * rows * cols * 8)
             images = np.frombuffer(raw, dtype=">f8").astype(np.float64)
     images = images.reshape(count, rows, cols)
 
@@ -84,7 +78,7 @@ def load_idx(images_path, labels_path=None, split: str = "full") -> Dataset:
             n_labels = _read_be32(f)
             if n_labels != count:
                 raise FormatError(f"{n_labels} labels for {count} images")
-            labels = np.frombuffer(_read_exact(f, n_labels), dtype=np.uint8).copy()
+            labels = np.frombuffer(read_exact(f, n_labels), dtype=np.uint8).copy()
     return Dataset(images=images, split=split, source=str(images_path), labels=labels)
 
 
@@ -253,7 +247,7 @@ def write_pgm(image: np.ndarray, path) -> None:
 def read_pgm(path) -> np.ndarray:
     """Read back a P5 file written by :func:`write_pgm` (values in [0, 1])."""
     with open(path, "rb") as f:
-        if _read_exact(f, 3) != b"P5\n":
+        if read_exact(f, 3) != b"P5\n":
             raise FormatError("not a binary PGM file")
         header = b""
         while header.count(b"\n") < 2:
@@ -265,5 +259,5 @@ def read_pgm(path) -> np.ndarray:
         w, h = (int(v) for v in dims.split())
         if int(maxval) != 255:
             raise FormatError(f"unsupported PGM maxval {maxval}")
-        raw = _read_exact(f, w * h)
+        raw = read_exact(f, w * h)
     return np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(h, w) / 255.0

@@ -72,12 +72,6 @@ class GaussianSpec:
             raise ParameterError("row_norm must be elementwise nonnegative")
 
 
-def std_normal_cdf(x):
-    """CDF of the standard normal law; accepts scalars or arrays."""
-    out = ndtr(x)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else np.asarray(out)
-
-
 def logitnormal_pdf(y, mu: float, sigma: float):
     """Density at ``y`` in (0,1) of sigmoid(X), X ~ Normal(mu, sigma)."""
     if not sigma > 0:
@@ -170,15 +164,11 @@ def expected_l0_terms(mu: Tensor, row_norm: Tensor, lam: float, cfg: StretchConf
     return 1.0 - ad.normal_cdf((t - mu) / row_norm)
 
 
-def expected_l0_tensor(mu: Tensor, row_norm: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
-    """Differentiable expected-l0: total of :func:`expected_l0_terms`."""
-    return expected_l0_terms(mu, row_norm, lam, cfg).sum()
-
-
-def concrete_l0_tensor(log_alpha: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
-    """Differentiable expected-l0 of the stretched concrete law."""
+def concrete_l0_terms(log_alpha: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
+    """Per-coordinate expected-l0 terms of the stretched concrete law,
+    sigmoid(log_alpha - lam * log(-gamma/eta)).  Differentiable."""
     t = lam * cfg.log_odds_threshold
-    return ad.sigmoid_temp(log_alpha - t, 1.0).sum()
+    return ad.sigmoid_temp(log_alpha - t, 1.0)
 
 
 def collapse_prob(spec: GaussianSpec) -> np.ndarray:

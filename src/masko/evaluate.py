@@ -16,19 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import collapse_prob
 from .errors import ContractError, DimensionError, ParameterError
 from .model import Decoder, decoder_apply
-from .rng import STREAM_EVAL, stream
-from .samplers import (
-    ConcreteParams,
-    HyperParams,
-    IndependentParams,
-    SamplerParams,
-    VanillaParams,
-    gaussian_spec,
-    param_arrays,
-)
+from .samplers import KINDS, SamplerParams
 
 
 @dataclass
@@ -70,29 +60,11 @@ def collapse_distribution(
     variants estimate each pixel's selection probability as the mean of
     the zero-temperature indicator over ``mc_samples`` draws.
     """
-    for name, arr in param_arrays(params):
+    for name, arr in params.arrays.items():
         if not np.isfinite(arr).all():
             raise ContractError(f"cannot collapse: parameter {name!r} is non-finite")
     n = params.n
-    m = n * n
-    if isinstance(params, (VanillaParams, IndependentParams)):
-        probs_flat = collapse_prob(gaussian_spec(params))
-    elif isinstance(params, HyperParams):
-        rng = stream(seed, STREAM_EVAL)
-        z = rng.standard_normal((params.d, mc_samples))
-        r = params.f_rep.apply(z)
-        w_z = params.f_w.apply(r).T.reshape(mc_samples, m, params.d)
-        b_z = params.f_b.apply(r).T
-        pre = np.einsum("bmd,db->bm", w_z, z) + b_z
-        probs_flat = (pre > 0).mean(axis=0)
-    elif isinstance(params, ConcreteParams):
-        rng = stream(seed, STREAM_EVAL)
-        u = rng.random((mc_samples, m))
-        u = np.clip(u, 1e-15, 1.0 - 1e-15)
-        noise = np.log(u) - np.log1p(-u)
-        probs_flat = (params.log_alpha[None, :] + noise > 0).mean(axis=0)
-    else:
-        raise ContractError(f"unknown sampler params {type(params)!r}")
+    probs_flat = KINDS[params.kind].collapse(params, mc_samples, seed)
     l0 = float(probs_flat.sum())
     masks = [top_k_mask(probs_flat, k).reshape(n, n) for k in _rounded_counts(l0)]
     return CollapsedMask(probs=probs_flat.reshape(n, n), l0_estimate=l0, masks=masks)
@@ -124,7 +96,7 @@ def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: i
 
 
 def export_covariance(
-    params: VanillaParams,
+    params: SamplerParams,
     start: int = 0,
     size: int | None = None,
     indices: np.ndarray | None = None,
@@ -135,19 +107,20 @@ def export_covariance(
     explicit pixel-index list (e.g. the selected pixels of a collapsed
     mask).  Returns the symmetric positive semi-definite block.
     """
-    if not isinstance(params, VanillaParams):
+    if params.kind != "vanilla":
         raise ContractError("covariance export requires the vanilla sampler")
     m = params.n * params.n
+    w = params.arrays["w"]
     if indices is not None:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size < 1 or indices.min() < 0 or indices.max() >= m:
             raise IndexError(f"pixel indices outside 0..{m}")
-        w = params.w[indices]
+        w = w[indices]
     else:
         if size is None:
             size = m - start
         if start < 0 or size < 1 or start + size > m:
             raise IndexError(f"window [{start}, {start + size}) outside 0..{m}")
-        w = params.w[start : start + size]
+        w = w[start : start + size]
     cov = w @ w.T
     return (cov + cov.T) / 2.0  # exact symmetry regardless of BLAS order

@@ -1,66 +1,55 @@
 """Reconstruction decoder and the full training objective.
 
 The decoder maps a masked image back to a full image of the same size.
-Two variants: a two-hidden-layer MLP (the fast desk-scale default) and a
-small residual convolutional network (input conv to 16 filters, two
-residual blocks of two 3x3 convs, output conv back to one channel).
+Two variants, each one :class:`DecoderKind` declaration in
+:data:`DECODER_KINDS`: a two-hidden-layer MLP (the fast desk-scale
+default) and a small residual convolutional network (input conv to 16
+filters, two residual blocks of two 3x3 convs, output conv back to one
+channel).
 
 The objective is masked-reconstruction mean squared error plus a weighted
 expected-l0 sparsity term, normalized by the pixel count.  For the
-factored samplers the sparsity term is the analytic closed form of their
-pre-sigmoid law; for the hypernet it is the per-draw closed form averaged
-over the batch; for the concrete baseline it is the logistic closed form.
+Gaussian samplers the sparsity term is the analytic closed form of their
+pre-sigmoid law (per draw and averaged over the batch for the hypernet);
+for the concrete baseline it is the logistic closed form.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .distributions import StretchConfig, expected_l0_terms
-from .errors import ConfigError, ContractError, DimensionError, FormatError
-from .samplers import LEAKY_SLOPE, SamplerOutput, _read_array, _read_exact
-
-DECODER_KINDS = ("mlp", "conv_resnet")
+from .distributions import StretchConfig, concrete_l0_terms, expected_l0_terms
+from .errors import ConfigError, DimensionError
+from .samplers import LEAKY_SLOPE, SamplerOutput
 
 
 @dataclass
-class MlpDecoder:
-    w1: np.ndarray  # (h, n*n)
-    b1: np.ndarray  # (h,)
-    w2: np.ndarray  # (h, h)
-    b2: np.ndarray  # (h,)
-    w3: np.ndarray  # (n*n, h)
-    b3: np.ndarray  # (n*n,)
-    n: int
-    hidden: int
+class Decoder:
+    """One decoder's learnable arrays, in checkpoint order."""
+
+    kind: str
+    arrays: dict[str, np.ndarray]
+    n: int  # image side
+    width: int  # hidden units (mlp) or filters (conv_resnet)
 
 
-@dataclass
-class ConvDecoder:
-    k_in: np.ndarray  # (f, 1, 3, 3)
-    b_in: np.ndarray  # (f,)
-    k1a: np.ndarray  # (f, f, 3, 3)
-    b1a: np.ndarray
-    k1b: np.ndarray
-    b1b: np.ndarray
-    k2a: np.ndarray
-    b2a: np.ndarray
-    k2b: np.ndarray
-    b2b: np.ndarray
-    k_out: np.ndarray  # (1, f, 3, 3)
-    b_out: np.ndarray  # (1,)
-    n: int
-    filters: int
+@dataclass(frozen=True)
+class DecoderKind:
+    """Everything that differs between decoder variants."""
 
-
-Decoder = MlpDecoder | ConvDecoder
+    tag: int  # code in the checkpoint header
+    width_field: str  # the config field that sets ``Decoder.width``
+    # (n*n, width) -> {name: (shape, fan-in)}, in checkpoint order; weights
+    # are uniform on [-sqrt(3/fan_in), sqrt(3/fan_in)], fan-in 0 means zeros
+    layout: Callable[[int, int], dict[str, tuple[tuple[int, ...], int]]]
+    # (decoder, leaves, masked input columns) -> reconstruction columns
+    forward: Callable[["Decoder", dict[str, Tensor], Tensor], Tensor]
 
 
 @dataclass(frozen=True)
@@ -71,78 +60,16 @@ class LossBreakdown:
     lam_sparse: float
 
 
-def decoder_kind(dec: Decoder) -> str:
-    return "mlp" if isinstance(dec, MlpDecoder) else "conv_resnet"
+def _mlp_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
+    h, m = dec.width, dec.n * dec.n
+    h1 = ad.leaky_relu(ad.matmul(leaves["w1"], x_obs) + leaves["b1"].reshape((h, 1)), LEAKY_SLOPE)
+    h2 = ad.leaky_relu(ad.matmul(leaves["w2"], h1) + leaves["b2"].reshape((h, 1)), LEAKY_SLOPE)
+    return ad.matmul(leaves["w3"], h2) + leaves["b3"].reshape((m, 1))
 
 
-def decoder_param_arrays(dec: Decoder) -> list[tuple[str, np.ndarray]]:
-    if isinstance(dec, MlpDecoder):
-        return [(f, getattr(dec, f)) for f in ("w1", "b1", "w2", "b2", "w3", "b3")]
-    fields = ("k_in", "b_in", "k1a", "b1a", "k1b", "b1b", "k2a", "b2a", "k2b", "b2b", "k_out", "b_out")
-    return [(f, getattr(dec, f)) for f in fields]
-
-
-def init_decoder(
-    kind: str,
-    n: int,
-    hidden: int = 256,
-    filters: int = 16,
-    rng: np.random.Generator | None = None,
-) -> Decoder:
-    """Uniform fan-in-scaled weights, zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    m = n * n
-
-    def uni(fan_in, shape):
-        a = math.sqrt(3.0 / fan_in)
-        return rng.uniform(-a, a, size=shape)
-
-    if kind == "mlp":
-        return MlpDecoder(
-            w1=uni(m, (hidden, m)),
-            b1=np.zeros(hidden),
-            w2=uni(hidden, (hidden, hidden)),
-            b2=np.zeros(hidden),
-            w3=uni(hidden, (m, hidden)),
-            b3=np.zeros(m),
-            n=n,
-            hidden=hidden,
-        )
-    if kind == "conv_resnet":
-        f = filters
-        return ConvDecoder(
-            k_in=uni(9, (f, 1, 3, 3)),
-            b_in=np.zeros(f),
-            k1a=uni(9 * f, (f, f, 3, 3)),
-            b1a=np.zeros(f),
-            k1b=uni(9 * f, (f, f, 3, 3)),
-            b1b=np.zeros(f),
-            k2a=uni(9 * f, (f, f, 3, 3)),
-            b2a=np.zeros(f),
-            k2b=uni(9 * f, (f, f, 3, 3)),
-            b2b=np.zeros(f),
-            k_out=uni(9 * f, (1, f, 3, 3)),
-            b_out=np.zeros(1),
-            n=n,
-            filters=f,
-        )
-    raise ConfigError(f"unknown decoder kind {kind!r}; expected one of {DECODER_KINDS}")
-
-
-def decoder_forward_bound(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
-    """Decoder forward over caller-provided leaf tensors."""
-    m = dec.n * dec.n
-    if x_obs.data.ndim != 2 or x_obs.data.shape[0] != m:
-        raise DimensionError(f"expected ({m}, B) input, got {x_obs.shape}")
-    if isinstance(dec, MlpDecoder):
-        h = dec.hidden
-        h1 = ad.leaky_relu(ad.matmul(leaves["w1"], x_obs) + leaves["b1"].reshape((h, 1)), LEAKY_SLOPE)
-        h2 = ad.leaky_relu(ad.matmul(leaves["w2"], h1) + leaves["b2"].reshape((h, 1)), LEAKY_SLOPE)
-        return ad.matmul(leaves["w3"], h2) + leaves["b3"].reshape((m, 1))
-
+def _conv_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
     nb = x_obs.data.shape[1]
-    n, f = dec.n, dec.filters
+    n, f = dec.n, dec.width
     img = ad.transpose(x_obs).reshape((nb, 1, n, n))
 
     def conv_bias(x, kname, bname, channels):
@@ -154,16 +81,80 @@ def decoder_forward_bound(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor
         t = conv_bias(t, f"k{blk}b", f"b{blk}b", f)
         c = c + t
     out = conv_bias(c, "k_out", "b_out", 1)
-    return ad.transpose(out.reshape((nb, m)))
+    return ad.transpose(out.reshape((nb, n * n)))
 
 
-def decoder_forward(tape: Tape, dec: Decoder, x_obs: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
+def _conv_layout(m: int, f: int) -> dict:
+    layout = {"k_in": ((f, 1, 3, 3), 9), "b_in": ((f,), 0)}
+    for conv in ("1a", "1b", "2a", "2b"):  # two residual blocks of two convs
+        layout[f"k{conv}"] = ((f, f, 3, 3), 9 * f)
+        layout[f"b{conv}"] = ((f,), 0)
+    layout["k_out"] = ((1, f, 3, 3), 9 * f)
+    layout["b_out"] = ((1,), 0)
+    return layout
+
+
+DECODER_KINDS: dict[str, DecoderKind] = {
+    "mlp": DecoderKind(
+        tag=0,
+        width_field="hidden",
+        layout=lambda m, h: {
+            "w1": ((h, m), m),
+            "b1": ((h,), 0),
+            "w2": ((h, h), h),
+            "b2": ((h,), 0),
+            "w3": ((m, h), h),
+            "b3": ((m,), 0),
+        },
+        forward=_mlp_forward,
+    ),
+    "conv_resnet": DecoderKind(tag=1, width_field="filters", layout=_conv_layout, forward=_conv_forward),
+}
+
+
+def decoder_param_arrays(dec: Decoder) -> list[tuple[str, np.ndarray]]:
+    """Named learnable arrays, in checkpoint declaration order."""
+    return list(dec.arrays.items())
+
+
+def init_decoder(
+    kind: str,
+    n: int,
+    hidden: int = 256,
+    filters: int = 16,
+    rng: np.random.Generator | None = None,
+) -> Decoder:
+    """Uniform fan-in-scaled weights, zero biases."""
+    spec = DECODER_KINDS.get(kind)
+    if spec is None:
+        raise ConfigError(f"unknown decoder kind {kind!r}; expected one of {tuple(DECODER_KINDS)}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    width = {"hidden": hidden, "filters": filters}[spec.width_field]
+    arrays = {}
+    for name, (shape, fan_in) in spec.layout(n * n, width).items():
+        a = math.sqrt(3.0 / fan_in) if fan_in else 0.0
+        arrays[name] = rng.uniform(-a, a, size=shape) if a else np.zeros(shape)
+    return Decoder(kind, arrays, n, width)
+
+
+def decoder_forward(
+    tape: Tape,
+    dec: Decoder,
+    x_obs: Tensor,
+    leaves: dict[str, Tensor] | None = None,
+) -> tuple[Tensor, dict[str, Tensor]]:
     """Reconstruct from a masked image batch laid out as (n*n, B) columns.
 
-    Returns the reconstruction and the bound parameter leaves.
+    Returns the reconstruction and the bound parameter leaves.  Pass
+    ``leaves`` to reuse already-bound tensors.
     """
-    leaves = {name: tape.param(arr) for name, arr in decoder_param_arrays(dec)}
-    return decoder_forward_bound(dec, leaves, x_obs), leaves
+    m = dec.n * dec.n
+    if x_obs.data.ndim != 2 or x_obs.data.shape[0] != m:
+        raise DimensionError(f"expected ({m}, B) input, got {x_obs.shape}")
+    if leaves is None:
+        leaves = {name: tape.param(arr) for name, arr in dec.arrays.items()}
+    return DECODER_KINDS[dec.kind].forward(dec, leaves, x_obs), leaves
 
 
 def decoder_apply(dec: Decoder, x_cols: np.ndarray) -> np.ndarray:
@@ -188,96 +179,18 @@ def objective(
     breakdown, and the decoder leaves for the optimizer.  Pass
     ``dec_leaves`` to reuse already-bound decoder tensors.
     """
-    tape = x.tape
     if sampler_out.stretched.data.shape != x.data.shape:
-        raise DimensionError(
-            f"mask {sampler_out.stretched.data.shape} vs batch {x.data.shape}"
-        )
+        raise DimensionError(f"mask {sampler_out.stretched.data.shape} vs batch {x.data.shape}")
     x_obs = sampler_out.stretched * x
-    if dec_leaves is None:
-        xhat, dec_leaves = decoder_forward(tape, dec, x_obs)
-    else:
-        xhat = decoder_forward_bound(dec, dec_leaves, x_obs)
+    xhat, dec_leaves = decoder_forward(x.tape, dec, x_obs, dec_leaves)
     diff = xhat - x
     recon = (diff * diff).mean()
-
-    kind = sampler_out.kind
-    if kind in ("vanilla", "independent"):
-        if sampler_out.mu is None or sampler_out.row_norm is None:
-            raise ContractError("factored sampler output lacks its pre-sigmoid law")
-        terms = expected_l0_terms(sampler_out.mu, sampler_out.row_norm, sampler_out.lam, cfg)
-    elif kind == "hypernet":
-        if sampler_out.w_z is None or sampler_out.b_z is None:
-            raise ContractError("hypernet sampler output lacks per-draw maps")
-        rn = ad.sqrt((sampler_out.w_z * sampler_out.w_z).sum(axis=2))
-        terms = expected_l0_terms(sampler_out.b_z, rn, sampler_out.lam, cfg)
-    elif kind == "concrete":
-        if sampler_out.log_alpha is None:
-            raise ContractError("concrete sampler output lacks its logits")
-        t = sampler_out.lam * cfg.log_odds_threshold
-        terms = ad.sigmoid_temp(sampler_out.log_alpha - t, 1.0)
+    if sampler_out.law is not None:
+        terms = expected_l0_terms(*sampler_out.law, sampler_out.lam, cfg)
     else:
-        raise ContractError(f"unknown sampler kind {kind!r}")
+        terms = concrete_l0_terms(sampler_out.logits, sampler_out.lam, cfg)
     # mean over coordinates (and draws, for per-draw terms) = normalized l0
     sparsity = terms.mean()
     total = recon + lam_sparse * sparsity
-    breakdown = LossBreakdown(
-        recon=recon.item(),
-        sparsity=sparsity.item(),
-        total=total.item(),
-        lam_sparse=lam_sparse,
-    )
+    breakdown = LossBreakdown(recon.item(), sparsity.item(), total.item(), lam_sparse)
     return total, breakdown, dec_leaves
-
-
-# --- decoder checkpoint blob -------------------------------------------------
-#
-# kind u8 (0 mlp, 1 conv_resnet) | n u32 | width u32 (hidden or filters)
-# then the arrays of `decoder_param_arrays` as float64 LE.
-
-_DEC_HEADER = struct.Struct("<BII")
-_DEC_TAGS = {"mlp": 0, "conv_resnet": 1}
-
-
-def decoder_to_bytes(dec: Decoder) -> bytes:
-    width = dec.hidden if isinstance(dec, MlpDecoder) else dec.filters
-    buf = io.BytesIO()
-    buf.write(_DEC_HEADER.pack(_DEC_TAGS[decoder_kind(dec)], dec.n, width))
-    for _, arr in decoder_param_arrays(dec):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
-
-
-def read_decoder(f) -> Decoder:
-    tag, n, width = _DEC_HEADER.unpack(_read_exact(f, _DEC_HEADER.size))
-    m = n * n
-    if tag == 0:
-        return MlpDecoder(
-            w1=_read_array(f, (width, m)),
-            b1=_read_array(f, (width,)),
-            w2=_read_array(f, (width, width)),
-            b2=_read_array(f, (width,)),
-            w3=_read_array(f, (m, width)),
-            b3=_read_array(f, (m,)),
-            n=n,
-            hidden=width,
-        )
-    if tag == 1:
-        fl = width
-        return ConvDecoder(
-            k_in=_read_array(f, (fl, 1, 3, 3)),
-            b_in=_read_array(f, (fl,)),
-            k1a=_read_array(f, (fl, fl, 3, 3)),
-            b1a=_read_array(f, (fl,)),
-            k1b=_read_array(f, (fl, fl, 3, 3)),
-            b1b=_read_array(f, (fl,)),
-            k2a=_read_array(f, (fl, fl, 3, 3)),
-            b2a=_read_array(f, (fl,)),
-            k2b=_read_array(f, (fl, fl, 3, 3)),
-            b2b=_read_array(f, (fl,)),
-            k_out=_read_array(f, (1, fl, 3, 3)),
-            b_out=_read_array(f, (1,)),
-            n=n,
-            filters=fl,
-        )
-    raise FormatError(f"unknown decoder tag {tag}")

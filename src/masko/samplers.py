@@ -9,210 +9,147 @@ Four variants over n*n pixels:
 * ``independent`` — per-pixel mean and standard deviation, no coupling.
 * ``concrete`` — relaxed binary concrete baseline driven by uniform noise.
 
-Parameters are plain float64 numpy arrays; a forward pass binds them to a
-tape and returns the soft and stretched masks plus the bound leaves so the
-training loop can read gradients.  Checkpoints are a flat little-endian
-binary format (magic ``MSKO``) defined at the bottom of this module.
+Each variant is one :class:`SamplerKind` declaration in :data:`KINDS`:
+its array shapes and init bounds, its noise draw, its forward pass over
+bound leaf tensors and its zero-temperature collapse.  Parameters are a
+:class:`SamplerParams` holding plain float64 numpy arrays; a forward pass
+binds them to a tape and returns the soft and stretched masks plus the
+bound leaves so the training loop can read gradients.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import os
-import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .distributions import StretchConfig, GaussianSpec, sample_concrete, sample_correlated, sample_independent, stretch
-from .errors import ConfigError, DimensionError, FormatError
-
-KINDS = ("vanilla", "hypernet", "independent", "concrete")
-_KIND_TAGS = {"vanilla": 0, "hypernet": 1, "independent": 2, "concrete": 3}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-
-MAGIC = b"MSKO"
-FORMAT_VERSION = 1
+from .distributions import (
+    GaussianSpec,
+    StretchConfig,
+    collapse_prob,
+    sample_concrete,
+    sample_correlated,
+    sample_independent,
+    stretch,
+)
+from .errors import ConfigError, DimensionError
+from .rng import STREAM_EVAL, STREAM_INIT, stream
 
 LEAKY_SLOPE = 0.2
 
 
 @dataclass
-class Affine2:
-    """Two affine layers with a leaky-ReLU after the first."""
+class SamplerParams:
+    """One sampler's learnable arrays, in checkpoint order.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    ``d`` (latent dimension) and ``k`` (hypernet width) are 0 where the
+    kind has no such dimension.
+    """
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Plain numpy forward on column-major batches (in_dim, B)."""
-        h = self.w1 @ x + self.b1[:, None]
-        h = np.where(h > 0, h, LEAKY_SLOPE * h)
-        return self.w2 @ h + self.b2[:, None]
-
-
-@dataclass
-class VanillaParams:
-    w: np.ndarray  # (n*n, d)
-    b: np.ndarray  # (n*n,)
-    lam: float
-    n: int
-    d: int
-
-
-@dataclass
-class HyperParams:
-    f_rep: Affine2  # d -> k -> k
-    f_w: Affine2  # k -> k -> n*n*d
-    f_b: Affine2  # k -> k -> n*n
-    lam: float
-    n: int
-    d: int
-    k: int
-
-
-@dataclass
-class IndependentParams:
-    mu: np.ndarray  # (n*n,)
-    sigma_raw: np.ndarray  # (n*n,), softplus-mapped to sigma >= 0
-    lam: float
-    n: int
-
-
-@dataclass
-class ConcreteParams:
-    log_alpha: np.ndarray  # (n*n,)
-    lam: float
-    n: int
-
-
-SamplerParams = VanillaParams | HyperParams | IndependentParams | ConcreteParams
+    kind: str
+    arrays: dict[str, np.ndarray]
+    lam: float  # sigmoid temperature
+    n: int  # image side
+    d: int = 0
+    k: int = 0
 
 
 @dataclass
 class SamplerOutput:
-    """Forward-pass products needed by the objective and the optimizer."""
+    """Forward-pass products needed by the objective and the optimizer.
 
-    kind: str
+    Exactly one of ``law`` and ``logits`` is set: the Gaussian kinds give
+    their pre-sigmoid (mean, std) per pixel, or per draw and pixel for the
+    hypernet; the concrete kind gives its logits.
+    """
+
     soft: Tensor  # (n*n, B)
     stretched: Tensor  # (n*n, B)
     lam: float
     leaves: dict[str, Tensor]
-    mu: Tensor | None = None  # (n*n,) pre-sigmoid mean on the tape
-    row_norm: Tensor | None = None  # (n*n,) pre-sigmoid std on the tape
-    w_z: Tensor | None = None  # (B, n*n, d) per-draw weights (hypernet)
-    b_z: Tensor | None = None  # (B, n*n) per-draw biases (hypernet)
-    log_alpha: Tensor | None = None  # (n*n,) concrete logits
+    law: tuple[Tensor, Tensor] | None = None
+    logits: Tensor | None = None
 
 
-def kind_of(params: SamplerParams) -> str:
-    if isinstance(params, VanillaParams):
-        return "vanilla"
-    if isinstance(params, HyperParams):
-        return "hypernet"
-    if isinstance(params, IndependentParams):
-        return "independent"
-    if isinstance(params, ConcreteParams):
-        return "concrete"
-    raise ConfigError(f"unknown sampler params {type(params)!r}")
+@dataclass(frozen=True)
+class SamplerKind:
+    """Everything that differs between sampler variants."""
+
+    tag: int  # code in the checkpoint header
+    dims: str  # which of "d" and "k" the kind uses
+    # (n*n, d, k) -> {name: (shape, init)}, in checkpoint order; init is the
+    # bound of a uniform draw on [-init, init], or 0 for zeros
+    layout: Callable[[int, int, int], dict[str, tuple[tuple[int, ...], float]]]
+    # (params, leaves, noise) -> (soft mask, law or None, logits or None)
+    forward: Callable[[SamplerParams, dict[str, Tensor], Tensor], tuple]
+    # (params, mc_samples, seed) -> per-pixel zero-temperature selection probabilities
+    collapse: Callable[[SamplerParams, int, int], np.ndarray]
+    # (rng, (rows, batch)) -> the noise one forward pass consumes
+    draw: Callable = np.random.Generator.standard_normal
+    # arrays -> per-pixel pre-sigmoid (mean, std), for kinds with a closed form
+    law: Callable[[dict[str, np.ndarray]], tuple[np.ndarray, np.ndarray]] | None = None
+    # (params, rng) -> None; runs after the uniform init
+    calibrate: Callable[[SamplerParams, np.random.Generator], None] | None = None
 
 
 def param_arrays(params: SamplerParams) -> list[tuple[str, np.ndarray]]:
     """Named learnable arrays, in checkpoint declaration order."""
-    if isinstance(params, VanillaParams):
-        return [("w", params.w), ("b", params.b)]
-    if isinstance(params, HyperParams):
-        out = []
-        for prefix, net in (("rep", params.f_rep), ("fw", params.f_w), ("fb", params.f_b)):
-            out += [
-                (f"{prefix}.w1", net.w1),
-                (f"{prefix}.b1", net.b1),
-                (f"{prefix}.w2", net.w2),
-                (f"{prefix}.b2", net.b2),
-            ]
-        return out
-    if isinstance(params, IndependentParams):
-        return [("mu", params.mu), ("sigma_raw", params.sigma_raw)]
-    if isinstance(params, ConcreteParams):
-        return [("log_alpha", params.log_alpha)]
-    raise ConfigError(f"unknown sampler params {type(params)!r}")
+    return list(params.arrays.items())
 
 
-def _bind(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
-    return {name: tape.param(arr) for name, arr in param_arrays(params)}
+def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    u = rng.random(shape)
+    while True:  # the open interval is required; 0.0 can occur
+        bad = (u <= 0.0) | (u >= 1.0)
+        if not bad.any():
+            return u
+        u[bad] = rng.random(int(bad.sum()))
 
 
-def _as_cols(tape: Tape, z, rows: int) -> tuple[Tensor, bool]:
-    """Coerce a draw to a (rows, B) constant tensor; remember if it was 1-D."""
-    zt = z if isinstance(z, Tensor) else tape.constant(z)
-    single = zt.data.ndim == 1
-    if single:
-        zt = zt.reshape((zt.data.shape[0], 1))
-    if zt.data.shape[0] != rows:
-        raise DimensionError(f"draw has {zt.data.shape[0]} rows, expected {rows}")
-    return zt, single
+def _affine2(a: dict[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
+    """Two affine layers with a leaky-ReLU between, on (in_dim, B) columns."""
+    h = a[f"{prefix}.w1"] @ x + a[f"{prefix}.b1"][:, None]
+    h = np.where(h > 0, h, LEAKY_SLOPE * h)
+    return a[f"{prefix}.w2"] @ h + a[f"{prefix}.b2"][:, None]
 
 
-def vanilla_forward_bound(p: VanillaParams, leaves: dict[str, Tensor], zt: Tensor, cfg: StretchConfig) -> SamplerOutput:
-    """Forward pass over already-bound leaf tensors (shared by training and
-    gradient-checking harnesses)."""
-    w, b = leaves["w"], leaves["b"]
-    soft = sample_correlated(w, b, zt, p.lam)
-    row_norm = ad.sqrt((w * w).sum(axis=1))
-    return SamplerOutput(
-        kind="vanilla",
-        soft=soft,
-        stretched=stretch(soft, cfg),
-        lam=p.lam,
-        leaves=leaves,
-        mu=b,
-        row_norm=row_norm,
-    )
-
-
-def vanilla_forward(tape: Tape, p: VanillaParams, z, cfg: StretchConfig) -> SamplerOutput:
-    """Mask sample from a shared linear map of one low-dimensional draw."""
-    zt, _ = _as_cols(tape, z, p.d)
-    return vanilla_forward_bound(p, _bind(tape, p), zt, cfg)
-
-
-def independent_forward_bound(p: IndependentParams, leaves: dict[str, Tensor], zt: Tensor, cfg: StretchConfig) -> SamplerOutput:
-    mu, sigma_raw = leaves["mu"], leaves["sigma_raw"]
-    sigma = ad.softplus(sigma_raw)
-    soft = sample_independent(mu, sigma, zt, p.lam)
-    return SamplerOutput(
-        kind="independent",
-        soft=soft,
-        stretched=stretch(soft, cfg),
-        lam=p.lam,
-        leaves=leaves,
-        mu=mu,
-        row_norm=sigma,
-    )
-
-
-def independent_forward(tape: Tape, p: IndependentParams, z, cfg: StretchConfig) -> SamplerOutput:
-    """Mask sample with one independent Gaussian per pixel."""
-    zt, _ = _as_cols(tape, z, p.n * p.n)
-    return independent_forward_bound(p, _bind(tape, p), zt, cfg)
+def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
+    """Plain numpy hypernet pre-sigmoid values, (B, n*n), for draws z (d, B)."""
+    a = params.arrays
+    r = _affine2(a, "rep", z)
+    w_z = _affine2(a, "fw", r).T.reshape(z.shape[1], params.n * params.n, params.d)
+    b_z = _affine2(a, "fb", r).T
+    return np.einsum("bmd,db->bm", w_z, z) + b_z
 
 
 def _affine2_cols(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = ad.matmul(leaves[f"{prefix}.w1"], x) + leaves[f"{prefix}.b1"].reshape(
-        (leaves[f"{prefix}.b1"].size, 1)
-    )
+    b1, b2 = leaves[f"{prefix}.b1"], leaves[f"{prefix}.b2"]
+    h = ad.matmul(leaves[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1))
     h = ad.leaky_relu(h, LEAKY_SLOPE)
-    return ad.matmul(leaves[f"{prefix}.w2"], h) + leaves[f"{prefix}.b2"].reshape(
-        (leaves[f"{prefix}.b2"].size, 1)
-    )
+    return ad.matmul(leaves[f"{prefix}.w2"], h) + b2.reshape((b2.size, 1))
 
 
-def hypernet_forward_bound(p: HyperParams, leaves: dict[str, Tensor], zt: Tensor, cfg: StretchConfig) -> SamplerOutput:
+def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) -> dict:
+    return {
+        f"{prefix}.w1": ((k, d_in), math.sqrt(3.0 / d_in)),
+        f"{prefix}.b1": ((k,), 0.0),
+        f"{prefix}.w2": ((d_out, k), out_bound),
+        f"{prefix}.b2": ((d_out,), 0.0),
+    }
+
+
+def _vanilla_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    w, b = leaves["w"], leaves["b"]
+    return sample_correlated(w, b, zt, p.lam), (b, ad.sqrt((w * w).sum(axis=1))), None
+
+
+def _hypernet_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """Each column of the draw yields its own (W_z, b_z); conditioned on a
+    fixed draw the mask is deterministic, and the law is per draw."""
     m = p.n * p.n
     nb = zt.data.shape[1]
     r = _affine2_cols(leaves, "rep", zt)  # (k, B)
@@ -222,104 +159,122 @@ def hypernet_forward_bound(p: HyperParams, leaves: dict[str, Tensor], zt: Tensor
     b_z = ad.transpose(bz_cols)  # (B, n*n)
     z_col = ad.transpose(zt).reshape((nb, p.d, 1))
     pre = ad.transpose(ad.matmul(w_z, z_col).reshape((nb, m)) + b_z)  # (n*n, B)
-    soft = ad.sigmoid_temp(pre, p.lam)
-    return SamplerOutput(
-        kind="hypernet",
-        soft=soft,
-        stretched=stretch(soft, cfg),
-        lam=p.lam,
-        leaves=leaves,
-        w_z=w_z,
-        b_z=b_z,
-    )
+    return ad.sigmoid_temp(pre, p.lam), (b_z, ad.sqrt((w_z * w_z).sum(axis=2))), None
 
 
-def hypernet_forward(tape: Tape, p: HyperParams, z, cfg: StretchConfig) -> SamplerOutput:
-    """Mask sample whose linear map itself is generated from the draw.
-
-    Each column of ``z`` yields its own (W_z, b_z); conditioned on a fixed
-    draw the mask is deterministic.  The per-draw pair is returned for the
-    per-sample sparsity penalty.
-    """
-    zt, _ = _as_cols(tape, z, p.d)
-    return hypernet_forward_bound(p, _bind(tape, p), zt, cfg)
+def _independent_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    mu = leaves["mu"]
+    sigma = ad.softplus(leaves["sigma_raw"])
+    return sample_independent(mu, sigma, zt, p.lam), (mu, sigma), None
 
 
-def concrete_forward_bound(p: ConcreteParams, leaves: dict[str, Tensor], ut: Tensor, cfg: StretchConfig) -> SamplerOutput:
+def _concrete_forward(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> tuple:
     la = leaves["log_alpha"]
-    soft = sample_concrete(la, p.lam, ut)
-    return SamplerOutput(
-        kind="concrete",
-        soft=soft,
-        stretched=stretch(soft, cfg),
-        lam=p.lam,
-        leaves=leaves,
-        log_alpha=la,
-    )
+    return sample_concrete(la, p.lam, ut), None, la
 
 
-def concrete_forward(tape: Tape, p: ConcreteParams, u, cfg: StretchConfig) -> SamplerOutput:
-    """Stretched relaxed-concrete mask sample from uniform noise."""
-    ut, _ = _as_cols(tape, u, p.n * p.n)
-    return concrete_forward_bound(p, _bind(tape, p), ut, cfg)
+def _collapse_law(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
+    return collapse_prob(gaussian_spec(p))
 
 
-_BOUND_FORWARDS = {
-    VanillaParams: vanilla_forward_bound,
-    HyperParams: hypernet_forward_bound,
-    IndependentParams: independent_forward_bound,
-    ConcreteParams: concrete_forward_bound,
+def _hypernet_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
+    z = stream(seed, STREAM_EVAL).standard_normal((p.d, mc_samples))
+    return (hypernet_pre(p, z) > 0).mean(axis=0)
+
+
+def _concrete_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
+    u = stream(seed, STREAM_EVAL).random((mc_samples, p.n * p.n))
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    noise = np.log(u) - np.log1p(-u)
+    return (p.arrays["log_alpha"][None, :] + noise > 0).mean(axis=0)
+
+
+def _hypernet_calibrate(p: SamplerParams, rng: np.random.Generator) -> None:
+    # rescale F_W's output layer to a unit pre-sigmoid spread over 256 draws
+    p.arrays["fw.w2"] /= hypernet_pre(p, rng.standard_normal((p.d, 256))).std()
+
+
+def _independent_calibrate(p: SamplerParams, rng: np.random.Generator) -> None:
+    p.arrays["sigma_raw"][:] = math.log(math.e - 1.0)  # softplus(sigma_raw) == 1
+
+
+KINDS: dict[str, SamplerKind] = {
+    "vanilla": SamplerKind(
+        tag=0,
+        dims="d",
+        layout=lambda m, d, k: {"w": ((m, d), math.sqrt(3.0 / d)), "b": ((m,), 0.0)},
+        forward=_vanilla_forward,
+        collapse=_collapse_law,
+        law=lambda a: (a["b"].copy(), np.sqrt((a["w"] ** 2).sum(axis=1))),
+    ),
+    "hypernet": SamplerKind(
+        tag=1,
+        dims="dk",
+        layout=lambda m, d, k: {
+            **_net_layout("rep", d, k, k, math.sqrt(3.0 / k)),
+            **_net_layout("fw", k, k, m * d, math.sqrt(3.0 / k)),
+            **_net_layout("fb", k, k, m, 0.01),
+        },
+        forward=_hypernet_forward,
+        collapse=_hypernet_collapse,
+        calibrate=_hypernet_calibrate,
+    ),
+    "independent": SamplerKind(
+        tag=2,
+        dims="",
+        layout=lambda m, d, k: {"mu": ((m,), 0.0), "sigma_raw": ((m,), 0.0)},
+        forward=_independent_forward,
+        collapse=_collapse_law,
+        law=lambda a: (a["mu"].copy(), np.logaddexp(0.0, a["sigma_raw"])),
+        calibrate=_independent_calibrate,
+    ),
+    "concrete": SamplerKind(
+        tag=3,
+        dims="",
+        layout=lambda m, d, k: {"log_alpha": ((m,), 0.0)},
+        draw=_open_uniform,
+        forward=_concrete_forward,
+        collapse=_concrete_collapse,
+    ),
 }
 
 
-def sampler_forward_bound(params: SamplerParams, leaves: dict[str, Tensor], zt: Tensor, cfg: StretchConfig) -> SamplerOutput:
-    """Forward pass over caller-provided leaf tensors."""
-    fn = _BOUND_FORWARDS.get(type(params))
-    if fn is None:
-        raise ConfigError(f"unknown sampler params {type(params)!r}")
-    return fn(params, leaves, zt, cfg)
+def sampler_forward(
+    tape: Tape,
+    params: SamplerParams,
+    z,
+    cfg: StretchConfig,
+    leaves: dict[str, Tensor] | None = None,
+) -> SamplerOutput:
+    """Mask sample for the noise ``z``, one column per batch element.
 
-
-def sampler_forward(tape: Tape, params: SamplerParams, z, cfg: StretchConfig) -> SamplerOutput:
-    """Dispatch to the forward pass of the parameter variant."""
-    if isinstance(params, VanillaParams):
-        return vanilla_forward(tape, params, z, cfg)
-    if isinstance(params, HyperParams):
-        return hypernet_forward(tape, params, z, cfg)
-    if isinstance(params, IndependentParams):
-        return independent_forward(tape, params, z, cfg)
-    if isinstance(params, ConcreteParams):
-        return concrete_forward(tape, params, z, cfg)
-    raise ConfigError(f"unknown sampler params {type(params)!r}")
+    Pass ``leaves`` to reuse already-bound parameter tensors (as gradient
+    checks do); otherwise the arrays of ``params`` are bound to ``tape``.
+    """
+    zt = z if isinstance(z, Tensor) else tape.constant(z)
+    if zt.data.ndim == 1:
+        zt = zt.reshape((zt.data.shape[0], 1))
+    rows = params.d or params.n * params.n
+    if zt.data.shape[0] != rows:
+        raise DimensionError(f"draw has {zt.data.shape[0]} rows, expected {rows}")
+    if leaves is None:
+        leaves = {name: tape.param(arr) for name, arr in params.arrays.items()}
+    soft, law, logits = KINDS[params.kind].forward(params, leaves, zt)
+    return SamplerOutput(soft, stretch(soft, cfg), params.lam, leaves, law, logits)
 
 
 def draw_latent(params: SamplerParams, rng: np.random.Generator, batch: int) -> np.ndarray:
-    """Draw the noise a forward pass consumes: one column per batch element."""
-    if isinstance(params, (VanillaParams, HyperParams)):
-        return rng.standard_normal((params.d, batch))
-    if isinstance(params, IndependentParams):
-        return rng.standard_normal((params.n * params.n, batch))
-    if isinstance(params, ConcreteParams):
-        u = rng.random((params.n * params.n, batch))
-        while True:  # the open interval is required; 0.0 can occur
-            bad = (u <= 0.0) | (u >= 1.0)
-            if not bad.any():
-                return u
-            u[bad] = rng.random(int(bad.sum()))
-    raise ConfigError(f"unknown sampler params {type(params)!r}")
+    """Draw the noise a forward pass consumes: one column per batch element,
+    one row per latent dimension, or per pixel for kinds without one."""
+    return KINDS[params.kind].draw(rng, (params.d or params.n * params.n, batch))
 
 
 def gaussian_spec(params: SamplerParams) -> GaussianSpec:
     """Analytic per-pixel pre-sigmoid law for the factored variants."""
-    if isinstance(params, VanillaParams):
-        return GaussianSpec(mu=params.b.copy(), row_norm=np.sqrt((params.w**2).sum(axis=1)))
-    if isinstance(params, IndependentParams):
-        return GaussianSpec(mu=params.mu.copy(), row_norm=np.logaddexp(0.0, params.sigma_raw))
-    raise ConfigError(f"no analytic pre-sigmoid law for {kind_of(params)} sampler")
-
-
-def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
-    return rng.uniform(-bound, bound, size=shape)
+    law = KINDS[params.kind].law
+    if law is None:
+        raise ConfigError(f"no analytic pre-sigmoid law for {params.kind} sampler")
+    return GaussianSpec(*law(params.arrays))
 
 
 def init_sampler(
@@ -341,146 +296,18 @@ def init_sampler(
     the same stream, so the result is deterministic per seed) to match the
     unit pre-sigmoid variance, and the final bias of F_b starts at 0.
     """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown sampler kind {kind!r}; expected one of {KINDS}")
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ConfigError(f"unknown sampler kind {kind!r}; expected one of {tuple(KINDS)}")
     if rng is None:
-        from .rng import STREAM_INIT, stream
-
         rng = stream(seed, STREAM_INIT)
-    m = n * n
-    if kind == "vanilla":
-        a = math.sqrt(3.0 / d)
-        return VanillaParams(w=_uniform(rng, a, (m, d)), b=np.zeros(m), lam=lam, n=n, d=d)
-    if kind == "independent":
-        # softplus(sigma_raw) == 1
-        return IndependentParams(
-            mu=np.zeros(m),
-            sigma_raw=np.full(m, math.log(math.e - 1.0)),
-            lam=lam,
-            n=n,
-        )
-    if kind == "concrete":
-        return ConcreteParams(log_alpha=np.zeros(m), lam=lam, n=n)
-
-    f_rep = Affine2(
-        w1=_uniform(rng, math.sqrt(3.0 / d), (k, d)),
-        b1=np.zeros(k),
-        w2=_uniform(rng, math.sqrt(3.0 / k), (k, k)),
-        b2=np.zeros(k),
-    )
-    f_w = Affine2(
-        w1=_uniform(rng, math.sqrt(3.0 / k), (k, k)),
-        b1=np.zeros(k),
-        w2=_uniform(rng, math.sqrt(3.0 / k), (m * d, k)),
-        b2=np.zeros(m * d),
-    )
-    f_b = Affine2(
-        w1=_uniform(rng, math.sqrt(3.0 / k), (k, k)),
-        b1=np.zeros(k),
-        w2=_uniform(rng, 0.01, (m, k)),
-        b2=np.zeros(m),
-    )
-    params = HyperParams(f_rep=f_rep, f_w=f_w, f_b=f_b, lam=lam, n=n, d=d, k=k)
-    # calibrate the pre-sigmoid spread on a fixed number of draws
-    z = rng.standard_normal((d, 256))
-    r = f_rep.apply(z)
-    w_z = f_w.apply(r).T.reshape(256, m, d)
-    b_z = f_b.apply(r).T
-    pre = np.einsum("bmd,db->bm", w_z, z) + b_z
-    f_w.w2 /= pre.std()
+    d = d if "d" in spec.dims else 0
+    k = k if "k" in spec.dims else 0
+    arrays = {
+        name: rng.uniform(-bound, bound, size=shape) if bound else np.zeros(shape)
+        for name, (shape, bound) in spec.layout(n * n, d, k).items()
+    }
+    params = SamplerParams(kind, arrays, lam, n, d, k)
+    if spec.calibrate is not None:
+        spec.calibrate(params, rng)
     return params
-
-
-# --- checkpoint format -----------------------------------------------------
-#
-# magic "MSKO" | version u32 | kind u8 | n u32 | d u32 | k u32   (little endian)
-# then the arrays of `param_arrays` flattened row-major as float64 LE,
-# then the temperature as one float64.
-# d and k are written as 0 where the variant has no such dimension.
-
-_HEADER = struct.Struct("<4sIBIII")
-
-
-def sampler_to_bytes(params: SamplerParams) -> bytes:
-    kind = kind_of(params)
-    d = getattr(params, "d", 0)
-    k = getattr(params, "k", 0)
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(MAGIC, FORMAT_VERSION, _KIND_TAGS[kind], params.n, d, k))
-    for _, arr in param_arrays(params):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    buf.write(struct.pack("<d", params.lam))
-    return buf.getvalue()
-
-
-def _read_exact(f, count: int) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise FormatError(f"checkpoint truncated: wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def _read_array(f, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = _read_exact(f, count * 8)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def read_sampler(f) -> SamplerParams:
-    """Read one sampler blob from a binary stream, leaving it positioned
-    just past the blob (a decoder blob may follow in a training checkpoint).
-    """
-    magic, version, tag, n, d, k = _HEADER.unpack(_read_exact(f, _HEADER.size))
-    if magic != MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if tag not in _TAG_KINDS:
-        raise FormatError(f"unknown sampler tag {tag}")
-    kind = _TAG_KINDS[tag]
-    m = n * n
-    if kind == "vanilla":
-        w = _read_array(f, (m, d))
-        b = _read_array(f, (m,))
-        lam = struct.unpack("<d", _read_exact(f, 8))[0]
-        return VanillaParams(w=w, b=b, lam=lam, n=n, d=d)
-    if kind == "hypernet":
-        shapes = {
-            "rep": ((k, d), (k,), (k, k), (k,)),
-            "fw": ((k, k), (k,), (m * d, k), (m * d,)),
-            "fb": ((k, k), (k,), (m, k), (m,)),
-        }
-        nets = {}
-        for prefix, (s1, s2, s3, s4) in shapes.items():
-            nets[prefix] = Affine2(
-                w1=_read_array(f, s1),
-                b1=_read_array(f, s2),
-                w2=_read_array(f, s3),
-                b2=_read_array(f, s4),
-            )
-        lam = struct.unpack("<d", _read_exact(f, 8))[0]
-        return HyperParams(
-            f_rep=nets["rep"], f_w=nets["fw"], f_b=nets["fb"], lam=lam, n=n, d=d, k=k
-        )
-    if kind == "independent":
-        mu = _read_array(f, (m,))
-        sigma_raw = _read_array(f, (m,))
-        lam = struct.unpack("<d", _read_exact(f, 8))[0]
-        return IndependentParams(mu=mu, sigma_raw=sigma_raw, lam=lam, n=n)
-    log_alpha = _read_array(f, (m,))
-    lam = struct.unpack("<d", _read_exact(f, 8))[0]
-    return ConcreteParams(log_alpha=log_alpha, lam=lam, n=n)
-
-
-def save_sampler(params: SamplerParams, path) -> None:
-    """Write a sampler-only checkpoint atomically."""
-    blob = sampler_to_bytes(params)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
-
-
-def load_sampler(path) -> SamplerParams:
-    with open(path, "rb") as f:
-        return read_sampler(f)

@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tape
+from .checkpoint import save_checkpoint
 from .distributions import StretchConfig
 from .errors import ConfigError, EvaluationError, FormatError
 from .model import (
@@ -26,10 +27,8 @@ from .model import (
     Decoder,
     LossBreakdown,
     decoder_param_arrays,
-    decoder_to_bytes,
     init_decoder,
     objective,
-    read_decoder,
 )
 from .rng import STREAM_INIT, STREAM_LATENT, STREAM_SHUFFLE, stream
 from .samplers import (
@@ -38,9 +37,7 @@ from .samplers import (
     draw_latent,
     init_sampler,
     param_arrays,
-    read_sampler,
     sampler_forward,
-    sampler_to_bytes,
 )
 
 METRICS_HEADER = ("epoch", "recon_mse", "sparsity_l0", "total", "wall_seconds")
@@ -182,7 +179,6 @@ class TrainResult:
     sampler: SamplerParams
     decoder: Decoder
     metrics: list[EpochMetrics] = field(default_factory=list)
-    step_breakdowns: list[LossBreakdown] = field(default_factory=list)
 
 
 def init_run(cfg: TrainConfig) -> tuple[SamplerParams, Decoder]:
@@ -199,7 +195,6 @@ def train_loop(
     images: np.ndarray,
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
-    keep_step_breakdowns: bool = False,
 ) -> TrainResult:
     """Run ``cfg.epochs`` passes over ``images`` of shape (count, n, n).
 
@@ -238,8 +233,6 @@ def train_loop(
             breakdown = train_step(cols, params, dec, state, cfg, latent_rng)
             recon_sum += breakdown.recon
             sparsity_sum += breakdown.sparsity
-            if keep_step_breakdowns:
-                result.step_breakdowns.append(breakdown)
         recon = recon_sum / n_batches
         sparsity = sparsity_sum / n_batches
         result.metrics.append(
@@ -264,15 +257,7 @@ def write_metrics(metrics: list[EpochMetrics], path: str | Path) -> None:
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
         for row in metrics:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.recon_mse),
-                    repr(row.sparsity_l0),
-                    repr(row.total),
-                    repr(row.wall_seconds),
-                ]
-            )
+            writer.writerow([repr(v) for v in astuple(row)])
     os.replace(tmp, path)
 
 
@@ -282,28 +267,4 @@ def read_metrics(path: str | Path) -> list[EpochMetrics]:
         header = tuple(next(reader))
         if header != METRICS_HEADER:
             raise FormatError(f"unexpected metrics header {header!r}")
-        return [
-            EpochMetrics(int(r[0]), float(r[1]), float(r[2]), float(r[3]), float(r[4]))
-            for r in reader
-        ]
-
-
-def save_checkpoint(params: SamplerParams, dec: Decoder | None, path: str | Path) -> None:
-    """Sampler blob, then decoder blob when present; atomic replace."""
-    blob = sampler_to_bytes(params)
-    if dec is not None:
-        blob += decoder_to_bytes(dec)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
-
-
-def load_checkpoint(path: str | Path) -> tuple[SamplerParams, Decoder | None]:
-    with open(path, "rb") as f:
-        params = read_sampler(f)
-        probe = f.peek(1) if hasattr(f, "peek") else f.read(1)
-        if not probe:
-            return params, None
-        dec = read_decoder(f)
-        return params, dec
+        return [EpochMetrics(int(r[0]), *map(float, r[1:])) for r in reader]

@@ -1,15 +1,16 @@
 """End-to-end command-line tests (invoked in-process via cli_main)."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from masko import samplers as sp
-from masko.cli import cli_main
+from masko.cli import RunConfig, cli_main
 from masko.data import load_idx, read_pgm
-from masko.training import save_checkpoint
+from masko.training import TrainConfig, save_checkpoint
 
 
 def write_config(path, **kv):
@@ -88,6 +89,36 @@ class TestTrainCommand:
         assert cli_main(["train", "--config", str(cfg)]) == 0
 
 
+class TestConfigValidation:
+    def test_run_config_is_train_config_plus_data_and_output_fields(self):
+        cfg = RunConfig()
+        assert isinstance(cfg, TrainConfig)
+        assert len(dataclasses.asdict(cfg)) == 30
+        train_keys = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert list(dataclasses.asdict(cfg))[: len(train_keys)] == train_keys
+
+    def test_zero_epochs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"))
+        assert cli_main(["train", "--config", str(cfg), "--epochs", "0"]) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_zero_mc_samples_is_a_config_error(self, tmp_path, capsys):
+        p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)
+        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        code = cli_main(
+            ["collapse", "--checkpoint", str(tmp_path / "ckpt.bin"), "--mc-samples", "0",
+             "--out", str(tmp_path / "col")]
+        )
+        assert code == 1
+        assert "mc_samples" in capsys.readouterr().err
+
+    def test_kind_choices_come_from_the_declarations(self, capsys):
+        assert cli_main(["train", "--sampler", "other"]) == 1
+        err = capsys.readouterr().err
+        assert all(kind in err for kind in sp.KINDS)
+
+
 class TestEvalCommand:
     def test_eval_table(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"))
@@ -105,7 +136,7 @@ class TestEvalCommand:
 
     def test_eval_requires_decoder(self, tmp_path, capsys):
         p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
-        sp.save_sampler(p, tmp_path / "sampler_only.bin")
+        save_checkpoint(p, None, tmp_path / "sampler_only.bin")
         cfg = write_config(tmp_path / "cfg.json")
         code = cli_main(
             ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "sampler_only.bin")]

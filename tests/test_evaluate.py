@@ -23,7 +23,7 @@ class TestCollapse:
         # deterministic rows: 27 sure picks among 100 pixels
         b = np.full(100, -1.0)
         b[:27] = 1.0
-        p = sp.VanillaParams(w=np.zeros((100, 4)), b=b, lam=0.3, n=10, d=4)
+        p = sp.SamplerParams("vanilla", {"w": np.zeros((100, 4)), "b": b}, 0.3, 10, 4)
         c = ev.collapse_distribution(p)
         assert c.l0_estimate == 27.0
         assert c.mask_sizes == [20, 30]
@@ -33,7 +33,7 @@ class TestCollapse:
 
     def test_multiple_of_ten_gives_equal_masks(self):
         b = np.where(np.arange(16) < 2, 8.0, -8.0)
-        p = sp.VanillaParams(w=np.ones((16, 2)) * 1e-9, b=b, lam=0.3, n=4, d=2)
+        p = sp.SamplerParams("vanilla", {"w": np.ones((16, 2)) * 1e-9, "b": b}, 0.3, 4, 2)
         c = ev.collapse_distribution(p)
         assert round(c.l0_estimate) == 2 and c.mask_sizes == [0, 10]
 
@@ -45,10 +45,11 @@ class TestCollapse:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         p = sp.init_sampler("vanilla", n=3, d=4, seed=1)
-        p.b[:] = rng.uniform(-1, 1, 9)
+        w, b = p.arrays["w"], p.arrays["b"]
+        b[:] = rng.uniform(-1, 1, 9)
         base = ev.collapse_distribution(p)
         perm = rng.permutation(9)
-        p2 = sp.VanillaParams(w=p.w[perm], b=p.b[perm], lam=p.lam, n=3, d=4)
+        p2 = sp.SamplerParams("vanilla", {"w": w[perm], "b": b[perm]}, p.lam, 3, 4)
         permuted = ev.collapse_distribution(p2)
         np.testing.assert_array_equal(permuted.probs.reshape(-1), base.probs.reshape(-1)[perm])
         # the probabilities here are distinct, so top-K commutes with the
@@ -60,7 +61,7 @@ class TestCollapse:
     def test_vanilla_estimate_matches_zero_temperature_form(self):
         rng = np.random.default_rng(2)
         p = sp.init_sampler("vanilla", n=5, d=8, seed=2)
-        p.b[:] = rng.uniform(-2, 2, 25)
+        p.arrays["b"][:] = rng.uniform(-2, 2, 25)
         c = ev.collapse_distribution(p)
         spec = sp.gaussian_spec(p)
         expect = (1.0 - np.vectorize(math.erf)(-spec.mu / spec.row_norm / math.sqrt(2)) * 0.5 - 0.5).sum()
@@ -72,11 +73,7 @@ class TestCollapse:
         # independent oracle: run the sampler at a tiny temperature
         rng = np.random.default_rng(33)
         n_draws = 40_000
-        z = rng.standard_normal((4, n_draws))
-        r = p.f_rep.apply(z)
-        w_z = p.f_w.apply(r).T.reshape(n_draws, 9, 4)
-        b_z = p.f_b.apply(r).T
-        pre = np.einsum("bmd,db->bm", w_z, z) + b_z
+        pre = sp.hypernet_pre(p, rng.standard_normal((4, n_draws)))
         y = 1 / (1 + np.exp(-np.clip(pre / 1e-3, -700, 700)))
         emp = (y > 0.5).mean(axis=0)
         assert np.abs(c.probs.reshape(-1) - emp).max() < 0.03
@@ -84,11 +81,12 @@ class TestCollapse:
     def test_factored_analytic_vs_monte_carlo_frequency(self):
         rng = np.random.default_rng(4)
         p = sp.init_sampler("vanilla", n=4, d=8, seed=4)
-        p.b[:] = rng.uniform(-1.5, 1.5, 16)
+        w, b = p.arrays["w"], p.arrays["b"]
+        b[:] = rng.uniform(-1.5, 1.5, 16)
         c = ev.collapse_distribution(p)
         n_draws = 10_000
         z = rng.standard_normal((8, n_draws))
-        pre = p.w @ z + p.b[:, None]
+        pre = w @ z + b[:, None]
         y = 1 / (1 + np.exp(-np.clip(pre / 1e-3, -700, 700)))
         freq = (y > 0.5).mean(axis=1)
         se = np.sqrt(np.clip(c.probs.reshape(-1) * (1 - c.probs.reshape(-1)), 1e-4, None) / n_draws)
@@ -96,7 +94,7 @@ class TestCollapse:
 
     def test_non_finite_params_rejected(self):
         p = sp.init_sampler("vanilla", n=3, d=4, seed=5)
-        p.w[0, 0] = np.nan
+        p.arrays["w"][0, 0] = np.nan
         with pytest.raises(ContractError):
             ev.collapse_distribution(p)
 
@@ -131,7 +129,7 @@ class TestEvalFixedMask:
         dec = md.init_decoder("mlp", n=4, hidden=16, rng=np.random.default_rng(8))
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
-        dec.b3[:] = flat.mean(axis=0)  # exact best constant per pixel
+        dec.arrays["b3"][:] = flat.mean(axis=0)  # exact best constant per pixel
         mse = ev.eval_fixed_mask(np.zeros((4, 4)), dec, images)
         best_constant = flat.var(axis=0).mean()
         assert abs(mse - best_constant) / best_constant < 0.05
@@ -154,7 +152,7 @@ class TestExportCovariance:
     def test_orthonormal_rows_give_identity(self):
         w = np.zeros((4, 4))
         np.fill_diagonal(w, 1.0)
-        p = sp.VanillaParams(w=w, b=np.zeros(4), lam=0.3, n=2, d=4)
+        p = sp.SamplerParams("vanilla", {"w": w, "b": np.zeros(4)}, 0.3, 2, 4)
         np.testing.assert_array_equal(ev.export_covariance(p), np.eye(4))
 
     def test_symmetric_bitwise_and_psd(self):

@@ -17,8 +17,8 @@ def identity_conv_decoder(n):
     dec = md.init_decoder("conv_resnet", n=n, filters=4, rng=np.random.default_rng(0))
     for name, arr in md.decoder_param_arrays(dec):
         arr[:] = 0.0
-    dec.k_in[0, 0, 1, 1] = 1.0
-    dec.k_out[0, 0, 1, 1] = 1.0
+    dec.arrays["k_in"][0, 0, 1, 1] = 1.0
+    dec.arrays["k_out"][0, 0, 1, 1] = 1.0
     return dec
 
 
@@ -28,9 +28,10 @@ def mlp_forward_numpy(dec, x_cols):
     def leaky(v):
         return np.where(v > 0, v, 0.2 * v)
 
-    h1 = leaky(dec.w1 @ x_cols + dec.b1[:, None])
-    h2 = leaky(dec.w2 @ h1 + dec.b2[:, None])
-    return dec.w3 @ h2 + dec.b3[:, None]
+    a = dec.arrays
+    h1 = leaky(a["w1"] @ x_cols + a["b1"][:, None])
+    h2 = leaky(a["w2"] @ h1 + a["b2"][:, None])
+    return a["w3"] @ h2 + a["b3"][:, None]
 
 
 class TestDecoderForward:
@@ -38,7 +39,7 @@ class TestDecoderForward:
         dec = md.init_decoder("mlp", n=3, hidden=8, rng=np.random.default_rng(1))
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
-        dec.b3[:] = 0.42
+        dec.arrays["b3"][:] = 0.42
         out = md.decoder_apply(dec, np.random.default_rng(1).random((9, 5)))
         np.testing.assert_array_equal(out, 0.42)
 
@@ -51,18 +52,19 @@ class TestDecoderForward:
         rng = np.random.default_rng(3)
         dec = md.init_decoder("conv_resnet", n=5, filters=4, rng=rng)
         for name in ("k1a", "b1a", "k1b", "b1b", "k2a", "b2a", "k2b", "b2b"):
-            getattr(dec, name)[:] = 0.0
+            dec.arrays[name][:] = 0.0
         x = rng.random((25, 2))
         got = md.decoder_apply(dec, x)
 
         # reference: only input conv + leaky + output conv
+        a = dec.arrays
         tape = ad.Tape()
         img = ad.transpose(tape.constant(x)).reshape((2, 1, 5, 5))
         c = ad.leaky_relu(
-            ad.conv2d(img, tape.constant(dec.k_in)) + tape.constant(dec.b_in.reshape(1, 4, 1, 1)),
+            ad.conv2d(img, tape.constant(a["k_in"])) + tape.constant(a["b_in"].reshape(1, 4, 1, 1)),
             0.2,
         )
-        ref = ad.conv2d(c, tape.constant(dec.k_out)) + tape.constant(dec.b_out.reshape(1, 1, 1, 1))
+        ref = ad.conv2d(c, tape.constant(a["k_out"])) + tape.constant(a["b_out"].reshape(1, 1, 1, 1))
         ref = ad.transpose(ref.reshape((2, 25)))
         np.testing.assert_allclose(got, ref.data, atol=1e-14)
 
@@ -75,34 +77,9 @@ class TestDecoderForward:
 
             def f(leaf, name=name):
                 tape = leaf.tape
-                import dataclasses
-
-                d2 = dataclasses.replace(dec)
-                leaves = {nm: tape.param(arr) for nm, arr in md.decoder_param_arrays(d2)}
+                leaves = {nm: tape.param(arr) for nm, arr in md.decoder_param_arrays(dec)}
                 leaves[name] = leaf.reshape(base.shape)
-                # inline forward with substituted leaf
-                if kind == "mlp":
-                    h = d2.hidden
-                    h1 = ad.leaky_relu(
-                        ad.matmul(leaves["w1"], tape.constant(x0)) + leaves["b1"].reshape((h, 1)), 0.2
-                    )
-                    h2 = ad.leaky_relu(ad.matmul(leaves["w2"], h1) + leaves["b2"].reshape((h, 1)), 0.2)
-                    xhat = ad.matmul(leaves["w3"], h2) + leaves["b3"].reshape((9, 1))
-                else:
-                    img = ad.transpose(tape.constant(x0)).reshape((2, 1, 3, 3))
-                    fl = d2.filters
-                    c = ad.leaky_relu(
-                        ad.conv2d(img, leaves["k_in"]) + leaves["b_in"].reshape((1, fl, 1, 1)), 0.2
-                    )
-                    for blk in ("1", "2"):
-                        t = ad.leaky_relu(
-                            ad.conv2d(c, leaves[f"k{blk}a"]) + leaves[f"b{blk}a"].reshape((1, fl, 1, 1)),
-                            0.2,
-                        )
-                        t = ad.conv2d(t, leaves[f"k{blk}b"]) + leaves[f"b{blk}b"].reshape((1, fl, 1, 1))
-                        c = c + t
-                    xhat = ad.conv2d(c, leaves["k_out"]) + leaves["b_out"].reshape((1, 1, 1, 1))
-                    xhat = ad.transpose(xhat.reshape((2, 9)))
+                xhat, _ = md.decoder_forward(tape, dec, tape.constant(x0), leaves)
                 return xhat.mean()
 
             err = ad.grad_check(f, base.reshape(-1), max_coords=8)
@@ -124,7 +101,7 @@ class TestObjective:
     def test_dense_mask_identity_decoder(self):
         n = 4
         p = sp.init_sampler("vanilla", n=n, d=4, seed=5)
-        p.b[:] = 60.0
+        p.arrays["b"][:] = 60.0
         dec = identity_conv_decoder(n)
         x = np.random.default_rng(5).random((16, 3))
         z = np.random.default_rng(6).standard_normal((4, 3))
@@ -136,13 +113,13 @@ class TestObjective:
     def test_empty_mask_constant_mean_decoder(self):
         n = 3
         p = sp.init_sampler("vanilla", n=n, d=4, seed=7)
-        p.b[:] = -60.0
+        p.arrays["b"][:] = -60.0
         rng = np.random.default_rng(7)
         x = rng.random((9, 8))
         dec = md.init_decoder("mlp", n=n, hidden=4, rng=rng)
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
-        dec.b3[:] = x.mean(axis=1)  # best constant predictor per pixel
+        dec.arrays["b3"][:] = x.mean(axis=1)  # best constant predictor per pixel
         _, breakdown, _ = self.run_objective(p, x, dec, 0.0, rng.standard_normal((4, 8)))
         per_pixel_var = x.var(axis=1).mean()
         assert breakdown.recon == pytest.approx(per_pixel_var, rel=1e-12)
@@ -166,7 +143,7 @@ class TestObjective:
         recon_np = ((xhat - x) ** 2).mean()
         if kind == "concrete":
             t = p.lam * np.log(-CFG.gamma / CFG.eta)
-            sparsity_np = (1 / (1 + np.exp(-(p.log_alpha - t)))).mean()
+            sparsity_np = (1 / (1 + np.exp(-(p.arrays["log_alpha"] - t)))).mean()
         else:
             sparsity_np = expected_l0(sp.gaussian_spec(p), CFG, normalized=True)
         assert breakdown.recon == pytest.approx(recon_np, abs=1e-12)
@@ -183,13 +160,20 @@ class TestObjective:
         tape = ad.Tape()
         out = sp.sampler_forward(tape, p, noise, CFG)
         _, breakdown, _ = md.objective(out, tape.constant(rng.random((4, 5))), dec, 0.1, CFG)
+
+        # per-draw (W_z, b_z), recomputed in numpy from the parameter arrays
+        def affine2(prefix, x):
+            h = p.arrays[f"{prefix}.w1"] @ x + p.arrays[f"{prefix}.b1"][:, None]
+            h = np.where(h > 0, h, 0.2 * h)
+            return p.arrays[f"{prefix}.w2"] @ h + p.arrays[f"{prefix}.b2"][:, None]
+
+        r = affine2("rep", noise)
+        w_z = affine2("fw", r).T.reshape(5, n * n, d)
+        b_z = affine2("fb", r).T
         expect = np.mean(
             [
                 expected_l0(
-                    GaussianSpec(
-                        mu=out.b_z.data[i],
-                        row_norm=np.sqrt((out.w_z.data[i] ** 2).sum(axis=1)),
-                    ),
+                    GaussianSpec(mu=b_z[i], row_norm=np.sqrt((w_z[i] ** 2).sum(axis=1))),
                     StretchConfig(CFG.gamma, CFG.eta, p.lam),
                     normalized=True,
                 )
@@ -219,19 +203,18 @@ class TestObjective:
         m = n * n
         rng = np.random.default_rng(11)
         p = sp.init_sampler("vanilla", n=n, d=4, seed=11)
-        p.b[:] = rng.uniform(-0.5, 0.5, m)
+        w, b = p.arrays["w"], p.arrays["b"]
+        b[:] = rng.uniform(-0.5, 0.5, m)
         dec = md.init_decoder("mlp", n=n, hidden=6, rng=rng)
         x = rng.random((m, 4))
         z = rng.standard_normal((4, 4))
         _, base, _ = self.run_objective(p, x, dec, 0.2, z)
 
         perm = rng.permutation(m)
-        p2 = sp.VanillaParams(w=p.w[perm], b=p.b[perm], lam=p.lam, n=n, d=p.d)
-        import dataclasses
-
-        dec2 = dataclasses.replace(
-            dec, w1=dec.w1[:, perm], w3=dec.w3[perm], b3=dec.b3[perm]
-        )
+        p2 = sp.SamplerParams("vanilla", {"w": w[perm], "b": b[perm]}, p.lam, n, p.d)
+        a = dec.arrays
+        permuted_arrays = {**a, "w1": a["w1"][:, perm], "w3": a["w3"][perm], "b3": a["b3"][perm]}
+        dec2 = md.Decoder(dec.kind, permuted_arrays, dec.n, dec.width)
         _, permuted, _ = self.run_objective(p2, x[perm], dec2, 0.2, z)
         assert permuted.recon == pytest.approx(base.recon, abs=1e-12)
         assert permuted.sparsity == pytest.approx(base.sparsity, abs=1e-12)
@@ -245,46 +228,34 @@ class TestObjective:
         x0 = rng.random((9, 4))
         z0 = rng.standard_normal((4, 4))
 
+        w, b = p.arrays["w"], p.arrays["b"]
+
         def loss_with_w(leaf):
             tape = leaf.tape
-            q = sp.VanillaParams(w=leaf.reshape(p.w.shape).data, b=p.b, lam=p.lam, n=n, d=p.d)
-            leaves = {"w": leaf.reshape(p.w.shape), "b": tape.param(p.b)}
-            from masko.distributions import sample_correlated, stretch
-
-            soft = sample_correlated(leaves["w"], leaves["b"], tape.constant(z0), p.lam)
-            out = sp.SamplerOutput(
-                kind="vanilla",
-                soft=soft,
-                stretched=stretch(soft, CFG),
-                lam=p.lam,
-                leaves=leaves,
-                mu=leaves["b"],
-                row_norm=ad.sqrt((leaves["w"] * leaves["w"]).sum(axis=1)),
-            )
+            leaves = {"w": leaf.reshape(w.shape), "b": tape.param(b)}
+            out = sp.sampler_forward(tape, p, z0, CFG, leaves=leaves)
             loss, _, _ = md.objective(out, tape.constant(x0), dec, 0.1, CFG)
             return loss
 
-        assert ad.grad_check(loss_with_w, p.w.reshape(-1), max_coords=14) < 1e-4
+        assert ad.grad_check(loss_with_w, w.reshape(-1), max_coords=14) < 1e-4
 
         def loss_with_dec_w1(leaf):
             tape = leaf.tape
-            out = sp.vanilla_forward(tape, p, z0, CFG)
-            import dataclasses
-
-            d2 = dataclasses.replace(dec, w1=leaf.reshape(dec.w1.shape).data)
+            out = sp.sampler_forward(tape, p, z0, CFG)
             x_obs = out.stretched * tape.constant(x0)
             # bind decoder manually so the leaf participates
-            h = d2.hidden
-            w1 = leaf.reshape(dec.w1.shape)
-            b1 = tape.param(d2.b1)
-            w2 = tape.param(d2.w2)
-            b2 = tape.param(d2.b2)
-            w3 = tape.param(d2.w3)
-            b3 = tape.param(d2.b3)
+            a = dec.arrays
+            h = dec.width
+            w1 = leaf.reshape(a["w1"].shape)
+            b1 = tape.param(a["b1"])
+            w2 = tape.param(a["w2"])
+            b2 = tape.param(a["b2"])
+            w3 = tape.param(a["w3"])
+            b3 = tape.param(a["b3"])
             h1 = ad.leaky_relu(ad.matmul(w1, x_obs) + b1.reshape((h, 1)), 0.2)
             h2 = ad.leaky_relu(ad.matmul(w2, h1) + b2.reshape((h, 1)), 0.2)
             xhat = ad.matmul(w3, h2) + b3.reshape((9, 1))
             diff = xhat - tape.constant(x0)
             return (diff * diff).mean()
 
-        assert ad.grad_check(loss_with_dec_w1, dec.w1.reshape(-1), max_coords=14) < 1e-4
+        assert ad.grad_check(loss_with_dec_w1, dec.arrays["w1"].reshape(-1), max_coords=14) < 1e-4

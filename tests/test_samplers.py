@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from masko import autodiff as ad
+from masko import checkpoint as ck
 from masko import samplers as sp
 from masko.distributions import StretchConfig
 from masko.errors import ConfigError, FormatError
@@ -23,15 +24,15 @@ def forward_mean(kind, params, noise):
 
 class TestVanillaForward:
     def test_saturated_positive_bias(self):
-        p = sp.VanillaParams(w=np.zeros((9, 2)), b=np.full(9, 50.0), lam=0.3, n=3, d=2)
+        p = sp.SamplerParams("vanilla", {"w": np.zeros((9, 2)), "b": np.full(9, 50.0)}, 0.3, 3, 2)
         tape = ad.Tape()
-        out = sp.vanilla_forward(tape, p, np.zeros((2, 1)), CFG)
+        out = sp.sampler_forward(tape, p, np.zeros((2, 1)), CFG)
         np.testing.assert_array_equal(out.stretched.data, 1.0)
 
     def test_saturated_negative_bias(self):
-        p = sp.VanillaParams(w=np.zeros((9, 2)), b=np.full(9, -50.0), lam=0.3, n=3, d=2)
+        p = sp.SamplerParams("vanilla", {"w": np.zeros((9, 2)), "b": np.full(9, -50.0)}, 0.3, 3, 2)
         tape = ad.Tape()
-        out = sp.vanilla_forward(tape, p, np.zeros((2, 1)), CFG)
+        out = sp.sampler_forward(tape, p, np.zeros((2, 1)), CFG)
         np.testing.assert_array_equal(out.stretched.data, 0.0)
 
     def test_gradcheck_stretched_mean(self):
@@ -67,14 +68,15 @@ class TestVanillaForward:
         # coordinate i of W z + b has mean b_i and variance sum_j W_ij^2
         rng = np.random.default_rng(1)
         p = sp.init_sampler("vanilla", n=3, d=16, seed=5)
-        p.b[:] = rng.uniform(-0.5, 0.5, 9)
+        w, b = p.arrays["w"], p.arrays["b"]
+        b[:] = rng.uniform(-0.5, 0.5, 9)
         n_draws = 100_000
         z = rng.standard_normal((16, n_draws))
-        pre = p.w @ z + p.b[:, None]
-        target_var = (p.w**2).sum(axis=1)
+        pre = w @ z + b[:, None]
+        target_var = (w**2).sum(axis=1)
         for i in range(9):
             se_mean = math.sqrt(target_var[i] / n_draws)
-            assert abs(pre[i].mean() - p.b[i]) < 3 * se_mean
+            assert abs(pre[i].mean() - b[i]) < 3 * se_mean
             se_var = target_var[i] * math.sqrt(2.0 / n_draws)
             assert abs(pre[i].var() - target_var[i]) < 3 * se_var
 
@@ -82,24 +84,22 @@ class TestVanillaForward:
 class TestHypernetForward:
     def test_degenerate_network_constant_mask(self):
         p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=0)
-        for net in (p.f_rep, p.f_w, p.f_b):
-            net.w1[:] = 0
-            net.b1[:] = 0
-            net.w2[:] = 0
-            net.b2[:] = 0
+        for arr in p.arrays.values():
+            arr[:] = 0
         beta = 0.7
-        p.f_b.b2[:] = beta
+        p.arrays["fb.b2"][:] = beta
         tape = ad.Tape()
-        out = sp.hypernet_forward(tape, p, np.random.default_rng(0).standard_normal((4, 3)), CFG)
+        out = sp.sampler_forward(tape, p, np.random.default_rng(0).standard_normal((4, 3)), CFG)
         np.testing.assert_allclose(out.soft.data, 1 / (1 + math.exp(-beta / p.lam)), rtol=1e-14)
 
     def test_distinct_draws_give_distinct_maps(self):
         p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=1)
         tape = ad.Tape()
         z = np.random.default_rng(1).standard_normal((4, 2))
-        out = sp.hypernet_forward(tape, p, z, CFG)
-        assert not np.allclose(out.w_z.data[0], out.w_z.data[1])
-        assert not np.allclose(out.b_z.data[0], out.b_z.data[1])
+        out = sp.sampler_forward(tape, p, z, CFG)
+        b_z, row_norm = (t.data for t in out.law)  # per draw: b_z and the row norms of W_z
+        assert not np.allclose(row_norm[0], row_norm[1])
+        assert not np.allclose(b_z[0], b_z[1])
 
     def test_conditionally_deterministic(self):
         p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=2)
@@ -112,41 +112,18 @@ class TestHypernetForward:
         n, d, k = 2, 3, 4
         p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=3)
         # shrink weights so stretched values stay off the clamp boundaries
-        for net in (p.f_rep, p.f_w, p.f_b):
-            net.w1 *= 0.3
-            net.w2 *= 0.3
+        for name, arr in p.arrays.items():
+            if ".w" in name:
+                arr *= 0.3
         z0 = np.random.default_rng(3).standard_normal((d, 2)) * 0.5
-        names = [name for name, _ in sp.param_arrays(p)]
-        for name in names:
-            base = dict(sp.param_arrays(p))
+        base = p.arrays
+        for name in base:
 
             def f(leaf, name=name):
                 tape = leaf.tape
-                q = sp.HyperParams(
-                    f_rep=sp.Affine2(**{f: base[f"rep.{f}"].copy() for f in ("w1", "b1", "w2", "b2")}),
-                    f_w=sp.Affine2(**{f: base[f"fw.{f}"].copy() for f in ("w1", "b1", "w2", "b2")}),
-                    f_b=sp.Affine2(**{f: base[f"fb.{f}"].copy() for f in ("w1", "b1", "w2", "b2")}),
-                    lam=p.lam,
-                    n=n,
-                    d=d,
-                    k=k,
-                )
-                # rebuild the forward by hand so `leaf` replaces one array
-                leaves = {nm: tape.param(arr) for nm, arr in sp.param_arrays(q)}
+                leaves = {nm: tape.param(arr) for nm, arr in base.items()}
                 leaves[name] = leaf.reshape(base[name].shape)
-                zt = tape.constant(z0)
-                r = sp._affine2_cols(leaves, "rep", zt)
-                wz_cols = sp._affine2_cols(leaves, "fw", r)
-                bz_cols = sp._affine2_cols(leaves, "fb", r)
-                nb = z0.shape[1]
-                m = n * n
-                w_z = ad.transpose(wz_cols).reshape((nb, m, d))
-                b_z = ad.transpose(bz_cols)
-                z_col = ad.transpose(zt).reshape((nb, d, 1))
-                pre = ad.transpose(ad.matmul(w_z, z_col).reshape((nb, m)) + b_z)
-                from masko.distributions import stretch
-
-                return stretch(ad.sigmoid_temp(pre, p.lam), CFG).mean()
+                return sp.sampler_forward(tape, p, z0, CFG, leaves=leaves).stretched.mean()
 
             err = ad.grad_check(f, base[name].reshape(-1), max_coords=12)
             assert err < 1e-4, name
@@ -154,11 +131,10 @@ class TestHypernetForward:
 
 class TestIndependentForward:
     def test_centered(self):
-        p = sp.IndependentParams(
-            mu=np.zeros(9), sigma_raw=np.full(9, -30.0), lam=0.3, n=3
-        )  # softplus(-30) ~ 0
+        # softplus(-30) ~ 0
+        p = sp.SamplerParams("independent", {"mu": np.zeros(9), "sigma_raw": np.full(9, -30.0)}, 0.3, 3)
         tape = ad.Tape()
-        out = sp.independent_forward(tape, p, np.zeros((9, 1)), CFG)
+        out = sp.sampler_forward(tape, p, np.zeros((9, 1)), CFG)
         np.testing.assert_allclose(out.soft.data, 0.5, atol=1e-12)
 
     def test_cross_pixel_independence(self):
@@ -166,7 +142,7 @@ class TestIndependentForward:
         rng = np.random.default_rng(4)
         n_draws = 10_000
         tape = ad.Tape()
-        out = sp.independent_forward(tape, p, rng.standard_normal((4, n_draws)), CFG)
+        out = sp.sampler_forward(tape, p, rng.standard_normal((4, n_draws)), CFG)
         soft = out.soft.data
         for i in range(4):
             for j in range(i + 1, 4):
@@ -196,9 +172,9 @@ class TestIndependentForward:
 class TestConcreteForward:
     def test_saturation(self):
         for la, expect in [(60.0, 1.0), (-60.0, 0.0)]:
-            p = sp.ConcreteParams(log_alpha=np.full(4, la), lam=2 / 3, n=2)
+            p = sp.SamplerParams("concrete", {"log_alpha": np.full(4, la)}, 2 / 3, 2)
             tape = ad.Tape()
-            out = sp.concrete_forward(tape, p, np.full((4, 1), 0.5), CFG)
+            out = sp.sampler_forward(tape, p, np.full((4, 1), 0.5), CFG)
             np.testing.assert_array_equal(out.stretched.data, expect)
 
     def test_gradcheck_log_alpha(self):
@@ -220,8 +196,8 @@ class TestInit:
         p = sp.init_sampler("vanilla", n=8, d=16, seed=7)
         a = math.sqrt(3.0 / 16)
         assert a == pytest.approx(0.433, abs=5e-4)
-        assert np.abs(p.w).max() <= a
-        assert np.all(p.b == 0)
+        assert np.abs(p.arrays["w"]).max() <= a
+        assert np.all(p.arrays["b"] == 0)
 
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent"])
     def test_unit_pre_sigmoid_variance(self, kind):
@@ -229,15 +205,12 @@ class TestInit:
         rng = np.random.default_rng(8)
         n_draws = 10_000
         if kind == "vanilla":
-            pre = p.w @ rng.standard_normal((16, n_draws))
+            pre = p.arrays["w"] @ rng.standard_normal((16, n_draws))
         elif kind == "independent":
-            pre = np.logaddexp(0, p.sigma_raw)[:, None] * rng.standard_normal((64, n_draws))
+            sigma = np.logaddexp(0, p.arrays["sigma_raw"])
+            pre = sigma[:, None] * rng.standard_normal((64, n_draws))
         else:
-            z = rng.standard_normal((16, n_draws))
-            r = p.f_rep.apply(z)
-            w_z = p.f_w.apply(r).T.reshape(n_draws, 64, 16)
-            b_z = p.f_b.apply(r).T
-            pre = (np.einsum("bmd,db->bm", w_z, z) + b_z).T
+            pre = sp.hypernet_pre(p, rng.standard_normal((16, n_draws)))
         assert 0.9 <= pre.var() <= 1.1
 
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
@@ -286,18 +259,18 @@ class TestCheckpointFormat:
     def test_round_trip(self, tmp_path, kind):
         p = sp.init_sampler(kind, n=5, d=6, k=8, lam=0.27, seed=12)
         path = tmp_path / "ckpt.bin"
-        sp.save_sampler(p, path)
-        q = sp.load_sampler(path)
-        assert sp.kind_of(q) == kind
-        assert q.lam == p.lam
-        assert q.n == p.n
+        ck.save_checkpoint(p, None, path)
+        q, dec = ck.load_checkpoint(path)
+        assert dec is None
+        assert q.kind == kind
+        assert (q.lam, q.n, q.d, q.k) == (p.lam, p.n, p.d, p.k)
         for (na, a), (nb, b) in zip(sp.param_arrays(p), sp.param_arrays(q)):
             assert na == nb
             np.testing.assert_array_equal(a, b)
 
     def test_header_layout(self):
         p = sp.init_sampler("vanilla", n=3, d=2, lam=0.5, seed=13)
-        blob = sp.sampler_to_bytes(p)
+        blob = ck.sampler_to_bytes(p)
         assert blob[:4] == b"MSKO"
         version, tag = int.from_bytes(blob[4:8], "little"), blob[8]
         assert version == 1 and tag == 0
@@ -308,13 +281,13 @@ class TestCheckpointFormat:
 
     def test_bad_magic(self):
         p = sp.init_sampler("concrete", n=2, seed=14)
-        blob = bytearray(sp.sampler_to_bytes(p))
+        blob = bytearray(ck.sampler_to_bytes(p))
         blob[:4] = b"XXXX"
         with pytest.raises(FormatError):
-            sp.read_sampler(io.BytesIO(bytes(blob)))
+            ck.read_sampler(io.BytesIO(bytes(blob)))
 
     def test_truncated(self):
         p = sp.init_sampler("independent", n=2, seed=15)
-        blob = sp.sampler_to_bytes(p)
+        blob = ck.sampler_to_bytes(p)
         with pytest.raises(FormatError):
-            sp.read_sampler(io.BytesIO(blob[: len(blob) - 4]))
+            ck.read_sampler(io.BytesIO(blob[: len(blob) - 4]))

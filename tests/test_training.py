@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from masko import checkpoint as ck
 from masko import samplers as sp
 from masko import training as tr
 from masko.errors import ConfigError, EvaluationError
@@ -71,7 +72,7 @@ class TestTrainStep:
             lam_sparse=0.0, lr=2e-3, batch_size=32, epochs=1, seed=1,
         )
         params, dec = tr.init_run(cfg)
-        params.b[:] = 60.0  # saturate the mask at 1
+        params.arrays["b"][:] = 60.0  # saturate the mask at 1
         state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))
         rng = stream(cfg.seed, STREAM_LATENT)
         batch = np.ascontiguousarray(tiny_images(32, 8, seed=1).reshape(32, 64).T)
@@ -94,7 +95,8 @@ class TestTrainStep:
         # Monte-Carlo estimate of the trained normalized expected-l0
         mc_rng = np.random.default_rng(2)
         z = mc_rng.standard_normal((cfg.latent_dim, 20_000))
-        y = 1.0 / (1.0 + np.exp(-(params.w @ z + params.b[:, None]) / cfg.lam_temp))
+        pre = params.arrays["w"] @ z + params.arrays["b"][:, None]
+        y = 1.0 / (1.0 + np.exp(-pre / cfg.lam_temp))
         stretched = np.clip((cfg.eta - cfg.gamma) * y + cfg.gamma, 0.0, 1.0)
         assert (stretched > 0).mean() < 0.05
 
@@ -189,7 +191,7 @@ class TestTrainLoop:
     def test_checkpoints_and_metrics_written(self, tmp_path):
         cfg = tr.TrainConfig(n=8, epochs=3, batch_size=8, hidden=16, latent_dim=8, seed=6)
         result = tr.train_loop(tiny_images(16, 8, seed=6), cfg, out_dir=tmp_path)
-        params, dec = tr.load_checkpoint(tmp_path / "checkpoint.bin")
+        params, dec = ck.load_checkpoint(tmp_path / "checkpoint.bin")
         for (_, a), (_, b) in zip(sp.param_arrays(result.sampler), sp.param_arrays(params)):
             np.testing.assert_array_equal(a, b)
         rows = tr.read_metrics(tmp_path / "metrics.csv")
