@@ -142,12 +142,12 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
     }
 
 
-def _vanilla_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     w, b = leaves["w"], leaves["b"]
     return sample_correlated(w, b, zt, p.lam), (b, ad.sqrt((w * w).sum(axis=1))), None
 
 
-def _hypernet_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """Each column of the draw yields its own (W_z, b_z); conditioned on a
     fixed draw the mask is deterministic, and the law is per draw."""
     m = p.n * p.n
@@ -162,13 +162,13 @@ def _hypernet_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -
     return ad.sigmoid_temp(pre, p.lam), (b_z, ad.sqrt((w_z * w_z).sum(axis=2))), None
 
 
-def _independent_forward(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     mu = leaves["mu"]
     sigma = ad.softplus(leaves["sigma_raw"])
     return sample_independent(mu, sigma, zt, p.lam), (mu, sigma), None
 
 
-def _concrete_forward(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> tuple:
+def _concrete_mask(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> tuple:
     la = leaves["log_alpha"]
     return sample_concrete(la, p.lam, ut), None, la
 
@@ -203,7 +203,7 @@ KINDS: dict[str, SamplerKind] = {
         tag=0,
         dims="d",
         layout=lambda m, d, k: {"w": ((m, d), math.sqrt(3.0 / d)), "b": ((m,), 0.0)},
-        forward=_vanilla_forward,
+        forward=_vanilla_mask,
         collapse=_collapse_law,
         law=lambda a: (a["b"].copy(), np.sqrt((a["w"] ** 2).sum(axis=1))),
     ),
@@ -215,7 +215,7 @@ KINDS: dict[str, SamplerKind] = {
             **_net_layout("fw", k, k, m * d, math.sqrt(3.0 / k)),
             **_net_layout("fb", k, k, m, 0.01),
         },
-        forward=_hypernet_forward,
+        forward=_hypernet_mask,
         collapse=_hypernet_collapse,
         calibrate=_hypernet_calibrate,
     ),
@@ -223,7 +223,7 @@ KINDS: dict[str, SamplerKind] = {
         tag=2,
         dims="",
         layout=lambda m, d, k: {"mu": ((m,), 0.0), "sigma_raw": ((m,), 0.0)},
-        forward=_independent_forward,
+        forward=_independent_mask,
         collapse=_collapse_law,
         law=lambda a: (a["mu"].copy(), np.logaddexp(0.0, a["sigma_raw"])),
         calibrate=_independent_calibrate,
@@ -233,7 +233,7 @@ KINDS: dict[str, SamplerKind] = {
         dims="",
         layout=lambda m, d, k: {"log_alpha": ((m,), 0.0)},
         draw=_open_uniform,
-        forward=_concrete_forward,
+        forward=_concrete_mask,
         collapse=_concrete_collapse,
     ),
 }
