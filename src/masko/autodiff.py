@@ -397,30 +397,26 @@ def tensor_mean(x: Tensor) -> Tensor:
     return x.tape.record(out, (x,), back)
 
 
-def conv2d(x: Tensor, k: Tensor, padding: int | None = None) -> Tensor:
+def conv2d(x: Tensor, k: Tensor) -> Tensor:
     """2-D cross-correlation with zero padding preserving H x W.
 
-    ``x`` is (C_in, H, W) or batched (B, C_in, H, W); ``k`` is
-    (C_out, C_in, kh, kw) with odd square spatial size.  Direct
-    shift-and-add evaluation; desk-scale images only.
+    ``x`` is (B, C_in, H, W); ``k`` is (C_out, C_in, kh, kw) with odd
+    square spatial size.  Direct shift-and-add evaluation; desk-scale
+    images only.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
     co, ci, kh, kw = k.data.shape
     if kh != kw or kh % 2 == 0:
         raise DimensionError(f"kernel spatial size must be odd square, got {kh}x{kw}")
-    pad = kh // 2 if padding is None else padding
-    if pad != kh // 2:
-        raise DimensionError(f"padding {pad} does not preserve spatial shape for {kh}x{kw} kernel")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"input must be 3-D or 4-D, got {x.shape}")
-    if xd.shape[1] != ci:
-        raise DimensionError(f"input has {xd.shape[1]} channels, kernel expects {ci}")
-    nb, _, h, w = xd.shape
+    if x.data.ndim != 4:
+        raise DimensionError(f"input must be 4-D, got {x.shape}")
+    nb, c, h, w = x.data.shape
+    if c != ci:
+        raise DimensionError(f"input has {c} channels, kernel expects {ci}")
+    pad = kh // 2
     xpad = np.zeros((nb, ci, h + 2 * pad, w + 2 * pad))
-    xpad[:, :, pad : pad + h, pad : pad + w] = xd
+    xpad[:, :, pad : pad + h, pad : pad + w] = x.data
     out = np.zeros((nb, co, h, w))
     for di in range(kh):
         for dj in range(kw):
@@ -429,7 +425,6 @@ def conv2d(x: Tensor, k: Tensor, padding: int | None = None) -> Tensor:
             )
 
     def back(g, needs):
-        gb = g[None] if g.ndim == 3 else g
         gx = None
         gk = None
         if needs[0]:
@@ -437,21 +432,19 @@ def conv2d(x: Tensor, k: Tensor, padding: int | None = None) -> Tensor:
             for di in range(kh):
                 for dj in range(kw):
                     gxpad[:, :, di : di + h, dj : dj + w] += np.einsum(
-                        "bohw,oc->bchw", gb, k.data[:, :, di, dj]
+                        "bohw,oc->bchw", g, k.data[:, :, di, dj]
                     )
             gx = gxpad[:, :, pad : pad + h, pad : pad + w]
-            if squeeze:
-                gx = gx[0]
         if needs[1]:
             gk = np.zeros_like(k.data)
             for di in range(kh):
                 for dj in range(kw):
                     gk[:, :, di, dj] = np.einsum(
-                        "bohw,bchw->oc", gb, xpad[:, :, di : di + h, dj : dj + w]
+                        "bohw,bchw->oc", g, xpad[:, :, di : di + h, dj : dj + w]
                     )
         return (gx, gk)
 
-    return x.tape.record(out[0] if squeeze else out, (x, k), back)
+    return x.tape.record(out, (x, k), back)
 
 
 def grad_check(

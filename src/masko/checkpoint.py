@@ -15,12 +15,12 @@ rejects bytes after the last blob; each violation is a ``FormatError``.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .data import read_exact, write_atomic
 from .errors import FormatError
 from .model import DECODER_KINDS, Decoder
 from .samplers import KINDS, SamplerParams
@@ -32,16 +32,6 @@ _HEADER = struct.Struct("<4sIBIII")
 _DEC_HEADER = struct.Struct("<BII")
 _SAMPLER_TAGS = {spec.tag: kind for kind, spec in KINDS.items()}
 _DECODER_TAGS = {spec.tag: kind for kind, spec in DECODER_KINDS.items()}
-
-
-def read_exact(f, count: int) -> bytes:
-    """Read exactly ``count`` bytes; refuse before reading if fewer remain."""
-    pos = f.tell()
-    left = f.seek(0, os.SEEK_END) - pos
-    f.seek(pos)
-    if count > left:
-        raise FormatError(f"file truncated: wanted {count} bytes, {left} left")
-    return f.read(count)
 
 
 def _arrays_to_bytes(arrays: dict[str, np.ndarray]) -> bytes:
@@ -105,10 +95,7 @@ def save_checkpoint(params: SamplerParams, dec: Decoder | None, path: str | Path
     blob = sampler_to_bytes(params)
     if dec is not None:
         blob += decoder_to_bytes(dec)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[SamplerParams, Decoder | None]:

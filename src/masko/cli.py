@@ -10,7 +10,6 @@ directory.  Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -25,6 +24,8 @@ from .data import (
     gen_digits,
     gen_gaussian_random_field,
     load_idx,
+    write_atomic,
+    write_csv,
     write_idx_images,
     write_idx_labels,
     write_pgm,
@@ -125,18 +126,8 @@ def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def cmd_train(args) -> int:
@@ -170,7 +161,7 @@ def cmd_eval(args) -> int:
         mse = eval_fixed_mask(mask, dec, test.images)
         rows.append([k, float(mse)])
         print(f"mask {k:5d} pixels: test mse {mse:.6f}")
-    _write_csv(out / "eval.csv", ["mask_pixels", "test_mse"], rows)
+    write_csv(out / "eval.csv", ["mask_pixels", "test_mse"], rows)
     print(f"expected active pixels {collapsed.l0_estimate:.2f}; table in {out / 'eval.csv'}")
     return 0
 
@@ -187,12 +178,12 @@ def cmd_collapse(args) -> int:
         [int(i), int(i // n), int(i % n), float(p)]
         for i, p in enumerate(collapsed.probs.reshape(-1))
     ]
-    _write_csv(out / "probs.csv", ["pixel_index", "row", "col", "prob"], prob_rows)
+    write_csv(out / "probs.csv", ["pixel_index", "row", "col", "prob"], prob_rows)
     for mask in collapsed.masks:
         k = int(mask.sum())
         write_pgm(mask, out / f"mask_{k}.pgm")
         idx = np.flatnonzero(mask.reshape(-1))
-        _write_csv(out / f"mask_{k}.csv", ["pixel_index"], [[int(i)] for i in idx])
+        write_csv(out / f"mask_{k}.csv", ["pixel_index"], [[int(i)] for i in idx])
     summary = {
         "kind": params.kind,
         "n": n,
@@ -209,31 +200,29 @@ def cmd_export_cov(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cov = export_covariance(params, start=cfg.cov_start, size=cfg.cov_size)
-    header = [f"p{cfg.cov_start + j}" for j in range(cov.shape[1])]
-    _write_csv(out / "covariance.csv", header, [[float(v) for v in row] for row in cov])
+    # clipped to [-1, n*n]: the window stays out of range if it was, but a
+    # huge cov_start or cov_size fails the range check without being allocated
+    m = params.n * params.n
+    indices = np.arange(max(cfg.cov_start, -1), min(cfg.cov_start + cfg.cov_size, m + 1))
+    cov = export_covariance(params, indices)
+    header = [f"p{i}" for i in indices]
+    write_csv(out / "covariance.csv", header, [[float(v) for v in row] for row in cov])
     print(f"{cov.shape[0]}x{cov.shape[1]} covariance window in {out / 'covariance.csv'}")
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    out = Path(args.out)
+    cfg = load_run_config(None, _overrides(args))
+    train, test = resolve_datasets(cfg)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_test = max(1, round(args.count * args.test_fraction))
-    n_train = args.count - n_test
-    if n_train < 1:
-        raise ConfigError("count too small for the requested test fraction")
-    if args.kind == "digits":
-        full = gen_digits(args.count, n=args.side, seed=args.seed)
-        write_idx_images(full.images[:n_train], out / "train-images.idx", dtype="u8")
-        write_idx_images(full.images[n_train:], out / "test-images.idx", dtype="u8")
-        write_idx_labels(full.labels[:n_train], out / "train-labels.idx")
-        write_idx_labels(full.labels[n_train:], out / "test-labels.idx")
-    else:  # "field"; the parser allows no other kind
-        full = gen_gaussian_random_field(args.count, args.side, args.slope, seed=args.seed)
-        write_idx_images(full.images[:n_train], out / "train-images.idx", dtype="f64")
-        write_idx_images(full.images[n_train:], out / "test-images.idx", dtype="f64")
-    print(f"wrote {n_train} train / {n_test} test images under {out}")
+    # digit pixels lie in [0, 1] and quantize to u8; field anomalies are unbounded
+    dtype = "u8" if cfg.dataset == "digits" else "f64"
+    for ds in (train, test):
+        write_idx_images(ds.images, out / f"{ds.split}-images.idx", dtype=dtype)
+        if ds.labels is not None:
+            write_idx_labels(ds.labels, out / f"{ds.split}-labels.idx")
+    print(f"wrote {train.count} train / {test.count} test images under {out}")
     return 0
 
 
@@ -245,7 +234,7 @@ def cmd_density_plot(args) -> int:
     dens = logitnormal_pdf(ys, args.mu, args.sigma)
     rows = [[float(y), float(d)] for y, d in zip(ys, dens)]
     path = out / f"density_mu{args.mu}_sigma{args.sigma}.csv"
-    _write_csv(path, ["y", "density"], rows)
+    write_csv(path, ["y", "density"], rows)
     print(f"density table in {path}")
     return 0
 
@@ -316,13 +305,13 @@ def build_parser() -> _Parser:
     p_cov.set_defaults(func=cmd_export_cov)
 
     p_gen = sub.add_parser("gen-data", help="materialize a synthetic dataset as IDX files")
-    p_gen.add_argument("--kind", choices=("digits", "field"), required=True)
-    p_gen.add_argument("--count", type=int, default=2400)
-    p_gen.add_argument("--side", type=int, default=28)
-    p_gen.add_argument("--slope", type=float, default=2.5)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--test-fraction", dest="test_fraction", type=float, default=1.0 / 6.0)
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--kind", dest="dataset", choices=("digits", "field"), required=True)
+    p_gen.add_argument("--count", dest="data_count", type=int)
+    p_gen.add_argument("--side", dest="n", type=int)
+    p_gen.add_argument("--slope", dest="field_slope", type=float)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p_gen.add_argument("--out", dest="out_dir", required=True)
     p_gen.set_defaults(func=cmd_gen_data)
 
     p_dens = sub.add_parser("density-plot", help="tabulate the logitNormal density")

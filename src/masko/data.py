@@ -7,21 +7,25 @@ generator for self-contained experiments.  Images load as float64 arrays,
 (count, n, n): u8 pixels scaled to [0, 1], float64 records taken verbatim
 (anomaly fields are standardized, not bounded).
 
-Artifacts are written as binary PGM (P5) for images and IDX for datasets;
-generated float fields use the IDX double type code so one loader serves
-both.
+Artifacts are written as binary PGM (P5) for images, IDX for datasets and
+CSV for tables; generated float fields use the IDX double type code so one
+loader serves both.  Every artifact reaches disk through
+:func:`write_atomic`, so a crash or a full disk leaves the previous file
+in place rather than a half-written one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .checkpoint import read_exact
 from .errors import ConfigError, FormatError
 from .rng import STREAM_DATA, stream
 
@@ -44,6 +48,34 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.images.shape[1]
+
+
+def read_exact(f, count: int) -> bytes:
+    """Read exactly ``count`` bytes; refuse before reading if fewer remain."""
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if count > left:
+        raise FormatError(f"file truncated: wanted {count} bytes, {left} left")
+    return f.read(count)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file next to ``path``, then rename it into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV table; floats use ``repr``, the shortest form that reads back exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _read_be32(f) -> int:
@@ -86,23 +118,21 @@ def write_idx_images(images: np.ndarray, path, dtype: str = "u8") -> None:
     """Write (count, n, n) images as IDX; u8 quantizes [0, 1] to 0..255."""
     images = np.asarray(images, dtype=np.float64)
     count, rows, cols = images.shape
-    with open(path, "wb") as f:
-        if dtype == "u8":
-            f.write(struct.pack(">IIII", IDX_IMAGES_U8, count, rows, cols))
-            quantized = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-            f.write(quantized.tobytes())
-        elif dtype == "f64":
-            f.write(struct.pack(">IIII", IDX_IMAGES_F64, count, rows, cols))
-            f.write(images.astype(">f8").tobytes())
-        else:
-            raise ConfigError(f"unknown IDX dtype {dtype!r}")
+    if dtype == "u8":
+        header = struct.pack(">IIII", IDX_IMAGES_U8, count, rows, cols)
+        body = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8).tobytes()
+    elif dtype == "f64":
+        header = struct.pack(">IIII", IDX_IMAGES_F64, count, rows, cols)
+        body = images.astype(">f8").tobytes()
+    else:
+        raise ConfigError(f"unknown IDX dtype {dtype!r}")
+    write_atomic(path, header + body)
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
     labels = np.asarray(labels)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_U8, labels.size))
-        f.write(labels.astype(np.uint8).tobytes())
+    header = struct.pack(">II", IDX_LABELS_U8, labels.size)
+    write_atomic(path, header + labels.astype(np.uint8).tobytes())
 
 
 def gen_gaussian_random_field(count: int, n: int, spectral_slope: float, seed: int) -> Dataset:
@@ -239,9 +269,7 @@ def write_pgm(image: np.ndarray, path) -> None:
         raise ConfigError(f"PGM needs a 2-D image, got shape {image.shape}")
     h, w = image.shape
     data = np.clip(np.rint(np.clip(image, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

@@ -60,6 +60,8 @@ def collapse_distribution(
     variants estimate each pixel's selection probability as the mean of
     the zero-temperature indicator over ``mc_samples`` draws.
     """
+    if mc_samples < 1:
+        raise ParameterError(f"mc_samples must be >= 1, got {mc_samples}")
     for name, arr in params.arrays.items():
         if not np.isfinite(arr).all():
             raise ContractError(f"cannot collapse: parameter {name!r} is non-finite")
@@ -95,17 +97,12 @@ def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: i
     return total / (count * n * n)
 
 
-def export_covariance(
-    params: SamplerParams,
-    start: int = 0,
-    size: int | None = None,
-    indices: np.ndarray | None = None,
-) -> np.ndarray:
+def export_covariance(params: SamplerParams, indices: np.ndarray | None = None) -> np.ndarray:
     """Pre-sigmoid covariance W W^T on a pixel-index window.
 
-    The window is either the contiguous range [start, start + size) or an
-    explicit pixel-index list (e.g. the selected pixels of a collapsed
-    mask).  Returns the symmetric positive semi-definite block.
+    The window is a pixel-index list, such as a contiguous range or the
+    selected pixels of a collapsed mask; ``None`` means every pixel.
+    Returns the symmetric positive semi-definite block.
     """
     if params.kind != "vanilla":
         raise ContractError("covariance export requires the vanilla sampler")
@@ -116,11 +113,5 @@ def export_covariance(
         if indices.size < 1 or indices.min() < 0 or indices.max() >= m:
             raise IndexError(f"pixel indices outside 0..{m}")
         w = w[indices]
-    else:
-        if size is None:
-            size = m - start
-        if start < 0 or size < 1 or start + size > m:
-            raise IndexError(f"window [{start}, {start + size}) outside 0..{m}")
-        w = w[start : start + size]
     cov = w @ w.T
     return (cov + cov.T) / 2.0  # exact symmetry regardless of BLAS order

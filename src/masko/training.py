@@ -11,7 +11,6 @@ the previous epoch is left in place.
 from __future__ import annotations
 
 import csv
-import os
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .checkpoint import save_checkpoint
+from .data import write_csv
 from .distributions import StretchConfig
 from .errors import ConfigError, EvaluationError, FormatError
 from .model import (
@@ -74,6 +74,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("latent_dim", "rep_width", "hidden", "filters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sampler not in KINDS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.decoder not in DECODER_KINDS:
@@ -252,13 +255,7 @@ def train_loop(
 
 def write_metrics(metrics: list[EpochMetrics], path: str | Path) -> None:
     """CSV with shortest round-trip float formatting, written atomically."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_HEADER)
-        for row in metrics:
-            writer.writerow([repr(v) for v in astuple(row)])
-    os.replace(tmp, path)
+    write_csv(path, METRICS_HEADER, [astuple(row) for row in metrics])
 
 
 def read_metrics(path: str | Path) -> list[EpochMetrics]:

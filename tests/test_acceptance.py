@@ -53,7 +53,7 @@ PRIMITIVES = [
     ("mean", lambda t: (t * t).mean(), (-2, 2), 6),
     ("sum_axis", lambda t: (t.reshape((2, 3)).sum(axis=1) * 3.0).sum(), (-2, 2), 6),
     ("conv2d", lambda t: ad.conv2d(
-        t.tape.constant(np.linspace(-1, 1, 32).reshape(2, 4, 4)), t.reshape((1, 2, 3, 3))
+        t.tape.constant(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4)), t.reshape((1, 2, 3, 3))
     ).sum(), (-1, 1), 18),
 ]
 
@@ -263,6 +263,7 @@ def trend_runs():
     return picked
 
 
+@pytest.mark.slow
 def test_criterion_4_correlated_beats_independent(trend_runs):
     wins = 0
     lines = []
@@ -280,6 +281,7 @@ def test_criterion_4_correlated_beats_independent(trend_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_correlated_sparsifies_harder(trend_runs):
     wins = 0
     lines = []
@@ -296,6 +298,7 @@ def test_criterion_5_correlated_sparsifies_harder(trend_runs):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_covariance_structure_emerges(trend_runs):
     ratios = []
     for seed in SEEDS:

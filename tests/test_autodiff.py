@@ -150,7 +150,7 @@ class TestClamp01:
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((1, 5, 5))
+        x = rng.standard_normal((1, 1, 5, 5))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
         tape = ad.Tape()
@@ -158,10 +158,10 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, x)
 
     def test_ones_kernel_tap_counts(self):
-        x = np.ones((1, 5, 5))
+        x = np.ones((1, 1, 5, 5))
         k = np.ones((1, 1, 3, 3))
         tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(k)).data[0]
+        out = ad.conv2d(tape.constant(x), tape.constant(k)).data[0, 0]
         assert out[2, 2] == 9.0
         assert out[0, 2] == 6.0
         assert out[0, 0] == 4.0
@@ -177,7 +177,12 @@ class TestConv2d:
     def test_channel_mismatch(self):
         tape = ad.Tape()
         with pytest.raises(DimensionError):
-            ad.conv2d(tape.constant(np.zeros((2, 4, 4))), tape.constant(np.zeros((1, 3, 3, 3))))
+            ad.conv2d(tape.constant(np.zeros((1, 2, 4, 4))), tape.constant(np.zeros((1, 3, 3, 3))))
+
+    def test_unbatched_input_rejected(self):
+        tape = ad.Tape()
+        with pytest.raises(DimensionError):
+            ad.conv2d(tape.constant(np.zeros((1, 4, 4))), tape.constant(np.zeros((1, 1, 3, 3))))
 
 
 class TestBackward:
@@ -279,7 +284,7 @@ class TestGradCheck:
             ("mean", lambda t: (t * t).mean(), (-2, 2)),
             ("sum_axis", lambda t: (t.reshape((2, 3)).sum(axis=1) * 3.0).sum(), (-2, 2)),
             ("conv", lambda t: ad.conv2d(
-                t.tape.constant(np.linspace(-1, 1, 32).reshape(2, 4, 4)),
+                t.tape.constant(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4)),
                 t.reshape((1, 2, 3, 3)),
             ).sum(), (-1, 1)),
             ("reshape", lambda t: (t.reshape((3, 2)) * 1.5).sum(), (-2, 2)),

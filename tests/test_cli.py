@@ -113,6 +113,13 @@ class TestConfigValidation:
         assert code == 1
         assert "mc_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--latent-dim", "--hidden"])
+    def test_zero_width_is_a_config_error(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"))
+        assert cli_main(["train", "--config", str(cfg), flag, "0"]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_kind_choices_come_from_the_declarations(self, capsys):
         assert cli_main(["train", "--sampler", "other"]) == 1
         err = capsys.readouterr().err
@@ -194,6 +201,18 @@ class TestExportCovCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("start,size", [(-1, 4), (0, 0), (0, 10**12), (-(10**12), 10**12 + 4)])
+    def test_window_edges_and_huge_windows(self, tmp_path, capsys, start, size):
+        # the last two would need terabytes if the window were materialized
+        p = sp.init_sampler("vanilla", n=4, d=4, seed=3)
+        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        code = cli_main(
+            ["export-cov", "--checkpoint", str(tmp_path / "ckpt.bin"),
+             "--cov-start", str(start), "--cov-size", str(size), "--out", str(tmp_path / "cov")]
+        )
+        assert code == 2
+        assert not (tmp_path / "cov" / "covariance.csv").exists()
+
 
 class TestGenDataCommand:
     def test_digits_files_load(self, tmp_path):
@@ -214,6 +233,16 @@ class TestGenDataCommand:
         train = load_idx(tmp_path / "train-images.idx")
         assert train.images.dtype == np.float64
         assert train.images.min() < 0  # anomalies, not [0,1] pixels
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1"])
+    def test_test_fraction_outside_unit_interval(self, tmp_path, capsys, fraction):
+        code = cli_main(
+            ["gen-data", "--kind", "digits", "--count", "12", "--side", "12",
+             "--test-fraction", fraction, "--out", str(tmp_path / "d")]
+        )
+        assert code == 1
+        assert "test_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_deterministic(self, tmp_path):
         for name in ("a", "b"):

@@ -98,6 +98,12 @@ class TestCollapse:
         with pytest.raises(ContractError):
             ev.collapse_distribution(p)
 
+    @pytest.mark.parametrize("kind", ["hypernet", "concrete"])
+    def test_zero_mc_samples_rejected(self, kind):
+        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        with pytest.raises(ParameterError, match="mc_samples"):
+            ev.collapse_distribution(p, mc_samples=0)
+
 
 class TestEvalFixedMask:
     def setup_method(self):
@@ -158,7 +164,7 @@ class TestExportCovariance:
     def test_symmetric_bitwise_and_psd(self):
         rng = np.random.default_rng(9)
         p = sp.init_sampler("vanilla", n=8, d=16, seed=9)
-        cov = ev.export_covariance(p, start=10, size=32)
+        cov = ev.export_covariance(p, np.arange(10, 42))
         assert np.array_equal(cov, cov.T)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-9
@@ -166,7 +172,7 @@ class TestExportCovariance:
     def test_window_bounds(self):
         p = sp.init_sampler("vanilla", n=4, d=4, seed=10)
         with pytest.raises(IndexError):
-            ev.export_covariance(p, start=10, size=8)
+            ev.export_covariance(p, np.arange(10, 18))
 
     def test_requires_vanilla(self):
         p = sp.init_sampler("independent", n=4, seed=11)
