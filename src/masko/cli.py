@@ -70,6 +70,8 @@ class RunConfig(TrainConfig):
             raise ConfigError(f"unknown dataset kind {self.dataset!r}; expected {DATASET_KINDS}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        if self.data_seed is not None and not 0 <= self.data_seed < 2**64:
+            raise ConfigError(f"data_seed must lie in [0, 2**64), got {self.data_seed}")
 
 
 def load_run_config(path: str | None, overrides: dict) -> RunConfig:
@@ -105,14 +107,17 @@ def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         train = load_idx(cfg.train_images, cfg.train_labels, split="train")
         test = load_idx(cfg.test_images, cfg.test_labels, split="test")
     else:
+        n_test = max(1, round(cfg.data_count * cfg.test_fraction))
+        n_train = cfg.data_count - n_test
+        if n_train < 1:
+            raise ConfigError(
+                f"data_count {cfg.data_count} at test_fraction {cfg.test_fraction} "
+                "leaves no training images"
+            )
         if cfg.dataset == "digits":
             full = gen_digits(cfg.data_count, n=cfg.n, seed=seed)
         else:
             full = gen_gaussian_random_field(cfg.data_count, cfg.n, cfg.field_slope, seed=seed)
-        n_test = max(1, round(cfg.data_count * cfg.test_fraction))
-        n_train = cfg.data_count - n_test
-        if n_train < 1:
-            raise ConfigError("dataset too small for the requested test fraction")
 
         def part(rows: slice, split: str) -> Dataset:
             labels = None if full.labels is None else full.labels[rows]

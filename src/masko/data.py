@@ -16,6 +16,7 @@ in place rather than a half-written one.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -61,11 +62,17 @@ def read_exact(f, count: int) -> bytes:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file next to ``path``, then rename it into place."""
+    """Write ``data`` to a temporary file next to ``path``, then rename it into
+    place; if either step fails, the temporary file is removed."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(path, header, rows) -> None:

@@ -11,7 +11,10 @@ Four variants over n*n pixels:
 
 Each variant is one :class:`SamplerKind` declaration in :data:`KINDS`:
 its array shapes and init bounds, its noise draw, its forward pass over
-bound leaf tensors and its zero-temperature collapse.  Parameters are a
+bound leaf tensors and its zero-temperature collapse.  The forward is the
+kind's sampling law; this module is the one place that draws masks, and
+the law's closed forms (stretch, expected l0, collapse probabilities)
+live in :mod:`masko.distributions`.  Parameters are a
 :class:`SamplerParams` holding plain float64 numpy arrays; a forward pass
 binds them to a tape and returns the soft and stretched masks plus the
 bound leaves so the training loop can read gradients.
@@ -27,16 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .distributions import (
-    GaussianSpec,
-    StretchConfig,
-    collapse_prob,
-    sample_concrete,
-    sample_correlated,
-    sample_independent,
-    stretch,
-)
-from .errors import ConfigError, DimensionError
+from .distributions import StretchConfig, collapse_prob, stretch
+from .errors import ConfigError, DimensionError, DomainError
 from .rng import STREAM_EVAL, STREAM_INIT, stream
 
 LEAKY_SLOPE = 0.2
@@ -143,8 +138,10 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
 
 
 def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """sigmoid_lam(W z + b); pixel i is logitNormal with mean b[i] and std |W[i]|."""
     w, b = leaves["w"], leaves["b"]
-    return sample_correlated(w, b, zt, p.lam), (b, ad.sqrt((w * w).sum(axis=1))), None
+    soft = ad.sigmoid_temp(ad.matmul(w, zt) + b.reshape((b.size, 1)), p.lam)
+    return soft, (b, ad.sqrt((w * w).sum(axis=1))), None
 
 
 def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
@@ -163,18 +160,25 @@ def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> t
 
 
 def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """sigmoid_lam(mu + z * sigma), one independent draw per pixel."""
     mu = leaves["mu"]
     sigma = ad.softplus(leaves["sigma_raw"])
-    return sample_independent(mu, sigma, zt, p.lam), (mu, sigma), None
+    m = mu.size
+    soft = ad.sigmoid_temp(mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), p.lam)
+    return soft, (mu, sigma), None
 
 
 def _concrete_mask(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> tuple:
+    """Relaxed binary concrete sample from uniform noise in (0, 1)."""
+    if np.any(ut.data <= 0.0) or np.any(ut.data >= 1.0):
+        raise DomainError("uniform noise must lie strictly inside (0, 1); resample")
+    noise = ad.log(ut) - ad.log(1.0 - ut)
     la = leaves["log_alpha"]
-    return sample_concrete(la, p.lam, ut), None, la
+    return ad.sigmoid_temp(la.reshape((la.size, 1)) + noise, p.lam), None, la
 
 
 def _collapse_law(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
-    return collapse_prob(gaussian_spec(p))
+    return collapse_prob(*KINDS[p.kind].law(p.arrays))
 
 
 def _hypernet_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
@@ -242,21 +246,19 @@ KINDS: dict[str, SamplerKind] = {
 def sampler_forward(
     tape: Tape,
     params: SamplerParams,
-    z,
+    z: np.ndarray,
     cfg: StretchConfig,
     leaves: dict[str, Tensor] | None = None,
 ) -> SamplerOutput:
-    """Mask sample for the noise ``z``, one column per batch element.
+    """Mask sample for the (rows, B) noise ``z``, one column per batch element.
 
     Pass ``leaves`` to reuse already-bound parameter tensors (as gradient
     checks do); otherwise the arrays of ``params`` are bound to ``tape``.
     """
-    zt = z if isinstance(z, Tensor) else tape.constant(z)
-    if zt.data.ndim == 1:
-        zt = zt.reshape((zt.data.shape[0], 1))
     rows = params.d or params.n * params.n
-    if zt.data.shape[0] != rows:
-        raise DimensionError(f"draw has {zt.data.shape[0]} rows, expected {rows}")
+    if z.ndim != 2 or z.shape[0] != rows:
+        raise DimensionError(f"draw has shape {z.shape}, expected ({rows}, B)")
+    zt = tape.constant(z)
     if leaves is None:
         leaves = {name: tape.param(arr) for name, arr in params.arrays.items()}
     soft, law, logits = KINDS[params.kind].forward(params, leaves, zt)
@@ -267,14 +269,6 @@ def draw_latent(params: SamplerParams, rng: np.random.Generator, batch: int) -> 
     """Draw the noise a forward pass consumes: one column per batch element,
     one row per latent dimension, or per pixel for kinds without one."""
     return KINDS[params.kind].draw(rng, (params.d or params.n * params.n, batch))
-
-
-def gaussian_spec(params: SamplerParams) -> GaussianSpec:
-    """Analytic per-pixel pre-sigmoid law for the factored variants."""
-    law = KINDS[params.kind].law
-    if law is None:
-        raise ConfigError(f"no analytic pre-sigmoid law for {params.kind} sampler")
-    return GaussianSpec(*law(params.arrays))
 
 
 def init_sampler(

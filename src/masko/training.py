@@ -11,6 +11,7 @@ the previous epoch is left in place.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -81,10 +82,11 @@ class TrainConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.decoder not in DECODER_KINDS:
             raise ConfigError(f"unknown decoder {self.decoder!r}")
-
-    @property
-    def stretch(self) -> StretchConfig:
-        return StretchConfig(gamma=self.gamma, eta=self.eta, lambda_temp=self.lam_temp)
+        if not 0.0 < self.lam_temp < math.inf:
+            raise ConfigError(f"lam_temp must be finite and positive, got {self.lam_temp}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        self.stretch = StretchConfig(gamma=self.gamma, eta=self.eta)  # not a field: asdict skips it
 
 
 @dataclass

@@ -24,7 +24,7 @@ from masko import model as md
 from masko import samplers as sp
 from masko.cli import cli_main
 from masko.data import gen_digits, load_idx
-from masko.distributions import GaussianSpec, StretchConfig, collapse_prob, expected_l0
+from masko.distributions import StretchConfig, collapse_prob, expected_l0
 from masko.evaluate import collapse_distribution, eval_fixed_mask, export_covariance, top_k_mask
 from masko.training import TrainConfig, init_run, train_loop
 
@@ -57,7 +57,7 @@ PRIMITIVES = [
     ).sum(), (-1, 1), 18),
 ]
 
-STRETCH = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=0.3)
+STRETCH = StretchConfig(gamma=-0.1, eta=1.1)
 
 
 def full_objective_fn(params, dec, x0, noise, lam_sparse, target):
@@ -141,8 +141,8 @@ def test_criterion_2_expected_l0_monte_carlo():
         lam = float(rng.uniform(0.05, 1.0))
         gamma = float(rng.uniform(-0.4, -0.02))
         eta = float(rng.uniform(1.02, 1.4))
-        cfg = StretchConfig(gamma=gamma, eta=eta, lambda_temp=lam)
-        closed = expected_l0(GaussianSpec(np.array([mu]), np.array([row_norm])), cfg)
+        cfg = StretchConfig(gamma=gamma, eta=eta)
+        closed = expected_l0(np.array([mu]), np.array([row_norm]), lam, cfg)
         g = rng.standard_normal(n_samples)
         y = 1.0 / (1.0 + np.exp(-(mu + row_norm * g) / lam))
         mc = float((np.clip((eta - gamma) * y + gamma, 0, 1) > 0).mean())
@@ -170,7 +170,7 @@ def test_criterion_3_zero_temperature_convergence():
         w_row = rng.uniform(-1.5, 1.5, size=d)
         b = float(rng.uniform(-2.0, 2.0))
         sigma = float(np.sqrt((w_row**2).sum()))
-        target = collapse_prob(GaussianSpec(np.array([b]), np.array([sigma])))[0]
+        target = collapse_prob(np.array([b]), np.array([sigma]))[0]
         z = rng.standard_normal((d, n_samples))
         y = 1.0 / (1.0 + np.exp(-np.clip((w_row @ z + b) / lam, -700, 700)))
         freq = float((y > 0.5).mean())  # selected = mask rounds to one

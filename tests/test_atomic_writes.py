@@ -1,4 +1,5 @@
-"""Every artifact writer leaves the previous file intact when its write fails."""
+"""Every artifact writer leaves the previous file intact, and no temporary
+file behind, when its write fails."""
 
 import json
 import os
@@ -84,3 +85,4 @@ def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch, write):
     with pytest.raises(OSError, match="disk full"):
         write(tmp_path, 1)
     assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))

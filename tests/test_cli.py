@@ -120,6 +120,26 @@ class TestConfigValidation:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"))
+        assert cli_main(["train", "--config", str(cfg), "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_out_of_range_data_seed_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", data_seed=-1, out_dir=str(tmp_path / "run"))
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert "data_seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [("gamma", 0.5), ("eta", 0.9), ("lam_temp", 0.0)])
+    def test_bad_stretch_constants_fail_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"), **{key: value})
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_kind_choices_come_from_the_declarations(self, capsys):
         assert cli_main(["train", "--sampler", "other"]) == 1
         err = capsys.readouterr().err
@@ -242,6 +262,25 @@ class TestGenDataCommand:
         )
         assert code == 1
         assert "test_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("count", ["-5", "0", "1"])
+    def test_count_without_training_images(self, tmp_path, capsys, count):
+        code = cli_main(
+            ["gen-data", "--kind", "digits", "--count", count, "--side", "12",
+             "--out", str(tmp_path / "d")]
+        )
+        assert code == 1
+        assert "data_count" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_out_of_range_seed(self, tmp_path, capsys):
+        code = cli_main(
+            ["gen-data", "--kind", "field", "--count", "6", "--side", "16", "--seed", "-3",
+             "--out", str(tmp_path / "d")]
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_deterministic(self, tmp_path):

@@ -14,8 +14,9 @@ from scipy import integrate
 
 from masko import autodiff as ad
 from masko import distributions as dist
-from masko.distributions import GaussianSpec, StretchConfig
+from masko.distributions import StretchConfig
 from masko.errors import ConfigError, DomainError, ParameterError
+from masko.samplers import SamplerParams, sampler_forward
 
 
 def phi_quad(x):
@@ -90,49 +91,43 @@ class TestLogitnormalPdf:
             dist.logitnormal_pdf(0.5, 0.0, 0.0)
 
 
+def sample(kind, arrays, n, noise, lam, d=0):
+    """Soft mask of a sampler built from ``arrays``, through ``sampler_forward``."""
+    params = SamplerParams(kind, arrays, lam, n, d)
+    return sampler_forward(ad.Tape(), params, noise, StretchConfig()).soft.data
+
+
 class TestSampling:
     def test_correlated_zero_weights(self):
-        tape = ad.Tape()
-        w = tape.constant(np.zeros((4, 2)))
-        b = tape.constant(np.zeros(4))
-        z = tape.constant(np.random.default_rng(0).standard_normal(2))
-        out = dist.sample_correlated(w, b, z, 1.0)
-        np.testing.assert_array_equal(out.data, 0.5)
+        arrays = {"w": np.zeros((4, 2)), "b": np.zeros(4)}
+        z = np.random.default_rng(0).standard_normal((2, 1))
+        out = sample("vanilla", arrays, 2, z, 1.0, d=2)
+        np.testing.assert_array_equal(out, 0.5)
 
     def test_correlated_deterministic_branch(self):
-        tape = ad.Tape()
-        b0 = np.array([-1.0, 0.3, 2.0])
-        out = dist.sample_correlated(
-            tape.constant(np.ones((3, 2))), tape.constant(b0), tape.constant(np.zeros(2)), 0.3
-        )
-        np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-b0 / 0.3)), rtol=1e-14)
+        b0 = np.array([-1.0, 0.3, 2.0, 0.0])
+        out = sample("vanilla", {"w": np.ones((4, 2)), "b": b0}, 2, np.zeros((2, 1)), 0.3, d=2)
+        np.testing.assert_allclose(out[:, 0], 1 / (1 + np.exp(-b0 / 0.3)), rtol=1e-14)
 
     def test_correlated_symmetric_mean(self):
         rng = np.random.default_rng(1)
-        tape = ad.Tape()
-        w = tape.constant(np.array([[1.0]]))
-        b = tape.constant(np.zeros(1))
-        z = tape.constant(rng.standard_normal((1, 100_000)))
-        samples = dist.sample_correlated(w, b, z, 1.0).data
+        z = rng.standard_normal((1, 100_000))
+        samples = sample("vanilla", {"w": np.array([[1.0]]), "b": np.zeros(1)}, 1, z, 1.0, d=1)
         se = samples.std() / math.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) < 3 * se
 
     def test_independent_zero_sigma(self):
-        tape = ad.Tape()
-        mu = np.array([-2.0, 0.0, 1.0])
-        out = dist.sample_independent(
-            tape.constant(mu), tape.constant(np.zeros(3)), tape.constant(np.ones(3)), 1.0
-        )
-        np.testing.assert_allclose(out.data, 1 / (1 + np.exp(-mu)), rtol=1e-14)
+        mu = np.array([-2.0, 0.0, 1.0, 0.5])
+        arrays = {"mu": mu, "sigma_raw": np.full(4, -np.inf)}  # softplus(-inf) == 0
+        out = sample("independent", arrays, 2, np.ones((4, 1)), 1.0)
+        np.testing.assert_allclose(out[:, 0], 1 / (1 + np.exp(-mu)), rtol=1e-14)
 
     def test_independent_cross_covariance_vanishes(self):
         rng = np.random.default_rng(2)
-        tape = ad.Tape()
         n_draws = 100_000
-        z = tape.constant(rng.standard_normal((3, n_draws)))
-        out = dist.sample_independent(
-            tape.constant(np.zeros(3)), tape.constant(np.ones(3)), z, 1.0
-        ).data
+        z = rng.standard_normal((4, n_draws))
+        arrays = {"mu": np.zeros(4), "sigma_raw": np.full(4, math.log(math.e - 1.0))}
+        out = sample("independent", arrays, 2, z, 1.0)
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             cov = np.cov(out[i], out[j])[0, 1]
             se = out[i].std() * out[j].std() / math.sqrt(n_draws)
@@ -140,24 +135,15 @@ class TestSampling:
 
     def test_independent_median(self):
         rng = np.random.default_rng(3)
-        tape = ad.Tape()
-        z = tape.constant(rng.standard_normal((1, 100_000)))
-        out = dist.sample_independent(
-            tape.constant(np.zeros(1)), tape.constant(np.ones(1)), z, 1.0
-        ).data
+        z = rng.standard_normal((1, 100_000))
+        arrays = {"mu": np.zeros(1), "sigma_raw": np.full(1, math.log(math.e - 1.0))}
+        out = sample("independent", arrays, 1, z, 1.0)
         p = (out > 0.5).mean()
         assert abs(p - 0.5) < 3 * math.sqrt(0.25 / out.size)
 
-    def test_independent_negative_sigma(self):
-        tape = ad.Tape()
-        with pytest.raises(ParameterError):
-            dist.sample_independent(
-                tape.constant(np.zeros(2)), tape.constant([-1.0, 1.0]), tape.constant(np.zeros(2)), 1.0
-            )
-
 
 class TestStretch:
-    CFG = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=1.0)
+    CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
     @pytest.mark.parametrize("y,expect", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5)])
     def test_mapping(self, y, expect):
@@ -190,24 +176,20 @@ class TestStretch:
             StretchConfig(gamma=0.1, eta=1.1)
         with pytest.raises(ConfigError):
             StretchConfig(gamma=-0.1, eta=0.9)
-        with pytest.raises(ConfigError):
-            StretchConfig(lambda_temp=-1.0)
 
 
 class TestExpectedL0:
     def test_saturated_mean(self):
-        spec = GaussianSpec(mu=np.array([60.0]), row_norm=np.array([1.0]))
-        cfg = StretchConfig(lambda_temp=1.0)
-        assert dist.expected_l0(spec, cfg) == pytest.approx(1.0, abs=1e-12)
+        closed = dist.expected_l0(np.array([60.0]), np.array([1.0]), 1.0, StretchConfig())
+        assert closed == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "lam,frozen",
         [(1.0, 0.991755210486549), (0.3, 0.7640430751651066)],
     )
     def test_standard_config_against_monte_carlo(self, lam, frozen):
-        spec = GaussianSpec(mu=np.array([0.0]), row_norm=np.array([1.0]))
-        cfg = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=lam)
-        closed = dist.expected_l0(spec, cfg)
+        cfg = StretchConfig(gamma=-0.1, eta=1.1)
+        closed = dist.expected_l0(np.array([0.0]), np.array([1.0]), lam, cfg)
         assert closed == pytest.approx(frozen, abs=1e-9)
         n = 1_000_000
         mc = mc_stretched_positive_rate(0.0, 1.0, lam, -0.1, 1.1, n, seed=10)
@@ -223,33 +205,25 @@ class TestExpectedL0:
             lam = float(rng.uniform(0.1, 1.0))
             gamma = float(rng.uniform(-0.3, -0.02))
             eta = float(rng.uniform(1.02, 1.3))
-            cfg = StretchConfig(gamma=gamma, eta=eta, lambda_temp=lam)
-            closed = dist.expected_l0(GaussianSpec(np.array([mu]), np.array([row_norm])), cfg)
+            cfg = StretchConfig(gamma=gamma, eta=eta)
+            closed = dist.expected_l0(np.array([mu]), np.array([row_norm]), lam, cfg)
             mc = mc_stretched_positive_rate(mu, row_norm, lam, gamma, eta, n, seed=100 + trial)
             se = math.sqrt(max(mc * (1 - mc), 1e-12) / n)
             assert abs(closed - mc) <= 3 * se, (mu, row_norm, lam, gamma, eta)
 
     def test_degenerate_rows_use_indicator(self):
-        cfg = StretchConfig(lambda_temp=0.3)
+        cfg = StretchConfig()
         t = 0.3 * cfg.log_odds_threshold
-        spec = GaussianSpec(mu=np.array([t - 0.01, t + 0.01]), row_norm=np.zeros(2))
-        assert dist.expected_l0(spec, cfg) == 1.0
-
-    def test_normalized_mode(self):
-        spec = GaussianSpec(mu=np.zeros(10), row_norm=np.ones(10))
-        cfg = StretchConfig(lambda_temp=1.0)
-        assert dist.expected_l0(spec, cfg, normalized=True) == pytest.approx(
-            dist.expected_l0(spec, cfg) / 10.0, rel=1e-15
-        )
+        assert dist.expected_l0(np.array([t - 0.01, t + 0.01]), np.zeros(2), 0.3, cfg) == 1.0
 
     def test_tensor_version_matches_and_differentiates(self):
-        cfg = StretchConfig(lambda_temp=0.3)
+        cfg = StretchConfig()
         rng = np.random.default_rng(7)
         mu0 = rng.uniform(-1, 1, size=6)
         rn0 = rng.uniform(0.4, 2.0, size=6)
         tape = ad.Tape()
         out = dist.expected_l0_terms(tape.constant(mu0), tape.constant(rn0), 0.3, cfg).sum()
-        assert out.item() == pytest.approx(dist.expected_l0(GaussianSpec(mu0, rn0), cfg), rel=1e-12)
+        assert out.item() == pytest.approx(dist.expected_l0(mu0, rn0, 0.3, cfg), rel=1e-12)
         err = ad.grad_check(
             lambda t: dist.expected_l0_terms(t, t.tape.constant(rn0), 0.3, cfg).sum(), mu0
         )
@@ -258,13 +232,12 @@ class TestExpectedL0:
 
 class TestCollapseProb:
     def test_centered(self):
-        spec = GaussianSpec(mu=np.zeros(3), row_norm=np.array([0.5, 1.0, 7.0]))
-        np.testing.assert_array_equal(dist.collapse_prob(spec), 0.5)
+        probs = dist.collapse_prob(np.zeros(3), np.array([0.5, 1.0, 7.0]))
+        np.testing.assert_array_equal(probs, 0.5)
 
     def test_against_low_temperature_monte_carlo(self):
         # W row (3, 4) has norm 5; b = -5 selects with prob 1 - Phi(1)
-        spec = GaussianSpec(mu=np.array([-5.0]), row_norm=np.array([5.0]))
-        closed = dist.collapse_prob(spec)[0]
+        closed = dist.collapse_prob(np.array([-5.0]), np.array([5.0]))[0]
         assert closed == pytest.approx(0.15865525393145685, abs=1e-9)
         rng = np.random.default_rng(8)
         n = 1_000_000
@@ -275,10 +248,10 @@ class TestCollapseProb:
         assert abs(emp - closed) < 3 * math.sqrt(closed * (1 - closed) / n)
 
     def test_limits_and_degenerate(self):
-        spec = GaussianSpec(mu=np.array([-80.0, 80.0]), row_norm=np.ones(2))
-        np.testing.assert_allclose(dist.collapse_prob(spec), [0.0, 1.0], atol=1e-12)
-        det = GaussianSpec(mu=np.array([-1.0, 0.0, 2.0]), row_norm=np.zeros(3))
-        np.testing.assert_array_equal(dist.collapse_prob(det), [0.0, 0.5, 1.0])
+        probs = dist.collapse_prob(np.array([-80.0, 80.0]), np.ones(2))
+        np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-12)
+        det = dist.collapse_prob(np.array([-1.0, 0.0, 2.0]), np.zeros(3))
+        np.testing.assert_array_equal(det, [0.0, 0.5, 1.0])
 
     def test_zero_temperature_convergence(self):
         # empirical P(Y > 0.99) approaches the collapse probability as the
@@ -288,7 +261,7 @@ class TestCollapseProb:
         n = 100_000
         for w_row, b in [(np.array([2.0, -1.5, 1.2]), 3.0), (np.array([3.0, 1.0]), -2.0), (np.array([4.0]), 1.0)]:
             sigma = float(np.sqrt((w_row**2).sum()))
-            target = dist.collapse_prob(GaussianSpec(np.array([b]), np.array([sigma])))[0]
+            target = dist.collapse_prob(np.array([b]), np.array([sigma]))[0]
             gaps = []
             for lam in (1.0, 0.3, 0.1, 0.03, 0.01):
                 z = rng.standard_normal((w_row.size, n))
@@ -301,31 +274,28 @@ class TestCollapseProb:
 
 class TestConcrete:
     def test_median_noise(self):
-        tape = ad.Tape()
-        out = dist.sample_concrete(tape.constant(np.zeros(3)), 2 / 3, tape.constant(np.full(3, 0.5)))
-        np.testing.assert_allclose(out.data, 0.5, atol=1e-15)
+        out = sample("concrete", {"log_alpha": np.zeros(4)}, 2, np.full((4, 1), 0.5), 2 / 3)
+        np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
     def test_monotone_in_noise(self):
-        tape = ad.Tape()
-        u = np.linspace(0.01, 0.99, 50)
-        out = dist.sample_concrete(tape.constant(np.zeros(50)), 2 / 3, tape.constant(u)).data
-        assert np.all(np.diff(out) > 0)
+        # one pixel, one column per noise value
+        u = np.linspace(0.01, 0.99, 50).reshape(1, 50)
+        out = sample("concrete", {"log_alpha": np.zeros(1)}, 1, u, 2 / 3)
+        assert np.all(np.diff(out[0]) > 0)
 
     def test_symmetric_median(self):
         rng = np.random.default_rng(10)
-        tape = ad.Tape()
-        u = tape.constant(rng.uniform(1e-12, 1 - 1e-12, size=100_000))
-        out = dist.sample_concrete(tape.constant(np.zeros(100_000)), 2 / 3, u).data
+        u = rng.uniform(1e-12, 1 - 1e-12, size=100_000).reshape(1, -1)
+        out = sample("concrete", {"log_alpha": np.zeros(1)}, 1, u, 2 / 3)
         p = (out > 0.5).mean()
         assert abs(p - 0.5) < 3 * math.sqrt(0.25 / out.size)
 
     def test_boundary_noise_rejected(self):
-        tape = ad.Tape()
         with pytest.raises(DomainError):
-            dist.sample_concrete(tape.constant(np.zeros(2)), 2 / 3, tape.constant([0.0, 0.5]))
+            sample("concrete", {"log_alpha": np.zeros(1)}, 1, np.array([[0.0, 0.5]]), 2 / 3)
 
     def test_concrete_l0_matches_monte_carlo(self):
-        cfg = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=2 / 3)
+        cfg = StretchConfig(gamma=-0.1, eta=1.1)
         rng = np.random.default_rng(11)
         log_alpha = np.array([0.7])
         tape = ad.Tape()

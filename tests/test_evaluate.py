@@ -63,8 +63,8 @@ class TestCollapse:
         p = sp.init_sampler("vanilla", n=5, d=8, seed=2)
         p.arrays["b"][:] = rng.uniform(-2, 2, 25)
         c = ev.collapse_distribution(p)
-        spec = sp.gaussian_spec(p)
-        expect = (1.0 - np.vectorize(math.erf)(-spec.mu / spec.row_norm / math.sqrt(2)) * 0.5 - 0.5).sum()
+        mu, row_norm = sp.KINDS["vanilla"].law(p.arrays)
+        expect = (1.0 - np.vectorize(math.erf)(-mu / row_norm / math.sqrt(2)) * 0.5 - 0.5).sum()
         assert abs(c.l0_estimate - expect) < 1e-9
 
     def test_hypernet_monte_carlo_matches_low_temperature_sampling(self):

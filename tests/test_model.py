@@ -6,10 +6,10 @@ import pytest
 from masko import autodiff as ad
 from masko import model as md
 from masko import samplers as sp
-from masko.distributions import GaussianSpec, StretchConfig, expected_l0
+from masko.distributions import StretchConfig, expected_l0
 from masko.errors import DimensionError
 
-CFG = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=0.3)
+CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
 
 def identity_conv_decoder(n):
@@ -145,7 +145,7 @@ class TestObjective:
             t = p.lam * np.log(-CFG.gamma / CFG.eta)
             sparsity_np = (1 / (1 + np.exp(-(p.arrays["log_alpha"] - t)))).mean()
         else:
-            sparsity_np = expected_l0(sp.gaussian_spec(p), CFG, normalized=True)
+            sparsity_np = expected_l0(*sp.KINDS[kind].law(p.arrays), p.lam, CFG) / (n * n)
         assert breakdown.recon == pytest.approx(recon_np, abs=1e-12)
         assert breakdown.sparsity == pytest.approx(sparsity_np, abs=1e-12)
         assert breakdown.total == pytest.approx(recon_np + lam_sparse * sparsity_np, abs=1e-12)
@@ -172,11 +172,7 @@ class TestObjective:
         b_z = affine2("fb", r).T
         expect = np.mean(
             [
-                expected_l0(
-                    GaussianSpec(mu=b_z[i], row_norm=np.sqrt((w_z[i] ** 2).sum(axis=1))),
-                    StretchConfig(CFG.gamma, CFG.eta, p.lam),
-                    normalized=True,
-                )
+                expected_l0(b_z[i], np.sqrt((w_z[i] ** 2).sum(axis=1)), p.lam, CFG) / (n * n)
                 for i in range(5)
             ]
         )

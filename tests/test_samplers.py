@@ -13,7 +13,7 @@ from masko.distributions import StretchConfig
 from masko.errors import ConfigError, FormatError
 from masko.rng import stream
 
-CFG = StretchConfig(gamma=-0.1, eta=1.1, lambda_temp=0.3)
+CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
 
 def forward_mean(kind, params, noise):
@@ -40,21 +40,14 @@ class TestVanillaForward:
         n, d = 3, 4
         z0 = rng.standard_normal((d, 2)) * 0.1
         b0 = rng.uniform(-0.2, 0.2, n * n)
+        w0 = rng.uniform(-0.1, 0.1, size=n * n * d)
+        p = sp.SamplerParams("vanilla", {"w": w0.reshape((n * n, d)), "b": b0}, 0.3, n, d)
 
         def f(w_leaf):
-            tape = w_leaf.tape
-            p_b = tape.param(b0)
-            soft = ad.sigmoid_temp(
-                ad.matmul(w_leaf.reshape((n * n, d)), tape.constant(z0))
-                + p_b.reshape((n * n, 1)),
-                0.3,
-            )
+            leaves = {"w": w_leaf.reshape((n * n, d)), "b": w_leaf.tape.param(b0)}
             # small draws keep every stretched value interior
-            from masko.distributions import stretch
+            return sp.sampler_forward(w_leaf.tape, p, z0, CFG, leaves=leaves).stretched.mean()
 
-            return stretch(soft, CFG).mean()
-
-        w0 = rng.uniform(-0.1, 0.1, size=n * n * d)
         assert ad.grad_check(f, w0, max_coords=24) < 1e-4
 
     def test_reproducible_forward(self):
@@ -156,13 +149,11 @@ class TestIndependentForward:
         mu0 = rng.uniform(-0.3, 0.3, 4)
         sraw0 = rng.uniform(-0.5, 0.5, 4)
 
-        def build(mu_leaf, sraw_leaf):
-            tape = mu_leaf.tape
-            sigma = ad.softplus(sraw_leaf)
-            pre = mu_leaf.reshape((4, 1)) + tape.constant(z0) * sigma.reshape((4, 1))
-            from masko.distributions import stretch
+        p = sp.SamplerParams("independent", {"mu": mu0, "sigma_raw": sraw0}, 0.3, 2)
 
-            return stretch(ad.sigmoid_temp(pre, 0.3), CFG).mean()
+        def build(mu_leaf, sraw_leaf):
+            leaves = {"mu": mu_leaf, "sigma_raw": sraw_leaf}
+            return sp.sampler_forward(mu_leaf.tape, p, z0, CFG, leaves=leaves).stretched.mean()
 
         err_mu = ad.grad_check(lambda t: build(t, t.tape.param(sraw0)), mu0)
         err_sr = ad.grad_check(lambda t: build(t.tape.param(mu0), t), sraw0)
@@ -180,15 +171,14 @@ class TestConcreteForward:
     def test_gradcheck_log_alpha(self):
         rng = np.random.default_rng(6)
         u0 = rng.uniform(0.35, 0.65, size=(4, 3))
+        la0 = rng.uniform(-0.3, 0.3, 4)
+        p = sp.SamplerParams("concrete", {"log_alpha": la0}, 2 / 3, 2)
 
         def f(leaf):
-            tape = leaf.tape
-            from masko.distributions import sample_concrete, stretch
+            out = sp.sampler_forward(leaf.tape, p, u0, CFG, leaves={"log_alpha": leaf})
+            return out.stretched.mean()
 
-            soft = sample_concrete(leaf, 2 / 3, tape.constant(u0))
-            return stretch(soft, CFG).mean()
-
-        assert ad.grad_check(f, rng.uniform(-0.3, 0.3, 4)) < 1e-4
+        assert ad.grad_check(f, la0) < 1e-4
 
 
 class TestInit:

@@ -27,6 +27,29 @@ def tiny_images(count=32, n=8, seed=0):
     return (base - lo) / (hi - lo)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lam_temp", [0.0, -1.0, float("nan"), float("inf")])
+    def test_temperature_must_be_finite_and_positive(self, lam_temp):
+        with pytest.raises(ConfigError, match="lam_temp"):
+            tr.TrainConfig(lam_temp=lam_temp)
+
+    @pytest.mark.parametrize("gamma,eta", [(0.5, 1.1), (-0.1, 0.9), (float("nan"), 1.1)])
+    def test_stretch_constants_checked_at_construction(self, gamma, eta):
+        with pytest.raises(ConfigError, match="gamma"):
+            tr.TrainConfig(gamma=gamma, eta=eta)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_the_philox_key(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tr.TrainConfig(seed=seed)
+
+    def test_stretch_is_built_once_and_is_not_a_field(self):
+        cfg = tr.TrainConfig(gamma=-0.2, eta=1.3, seed=2**64 - 1)
+        assert cfg.stretch is cfg.stretch
+        assert (cfg.stretch.gamma, cfg.stretch.eta) == (-0.2, 1.3)
+        assert "stretch" not in dataclasses.asdict(cfg)
+
+
 class TestAdam:
     def test_zero_gradient_is_stationary(self):
         cfg = tr.TrainConfig(epochs=1)
@@ -129,7 +152,6 @@ class TestSparsityPressure:
         # 200 steps on one fixed batch; the trained normalized expected-l0
         # must be non-increasing across increasing sparsity weights
         from masko.distributions import expected_l0
-        from masko.samplers import gaussian_spec
 
         finals = []
         for lam_sparse in (0.01, 0.1, 1.0):
@@ -143,7 +165,8 @@ class TestSparsityPressure:
             batch = np.ascontiguousarray(tiny_images(16, 8, seed=seed).reshape(16, 64).T)
             for _ in range(200):
                 tr.train_step(batch, params, dec, state, cfg, rng)
-            finals.append(expected_l0(gaussian_spec(params), cfg.stretch, normalized=True))
+            mu, row_norm = sp.KINDS["vanilla"].law(params.arrays)
+            finals.append(expected_l0(mu, row_norm, params.lam, cfg.stretch) / 64)
         assert finals[0] >= finals[1] >= finals[2], finals
 
 
