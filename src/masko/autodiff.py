@@ -397,12 +397,54 @@ def tensor_mean(x: Tensor) -> Tensor:
     return x.tape.record(out, (x,), back)
 
 
+def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad each channel of a (B, C, H, W) array into one row.
+
+    Returns a (C, B*(H+2p)*(W+2p) + 2p*(W+2p+1)) array: channel ``c`` of
+    image ``b`` lies at ``b*(H+2p)*(W+2p) + (i+p)*(W+2p) + (j+p)``, and the
+    trailing zeros let every kernel offset read a full-length window.
+    """
+    nb, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    rows = np.zeros((c, nb * hp * wp + 2 * pad * (wp + 1)))
+    grid = rows[:, : nb * hp * wp].reshape(c, nb, hp, wp)
+    grid[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    return rows
+
+
+def _correlate_rows(rows: np.ndarray, k: np.ndarray, nb: int, h: int, w: int) -> np.ndarray:
+    """Cross-correlate padded channel rows with ``k``; returns (B, C_out, H, W).
+
+    Each kernel offset (di, dj) is one GEMM against the rows shifted by
+    ``di*(W+2p) + dj``, a view; the output of pixel (i, j) lands at the
+    top-left corner of its window, ``b*(H+2p)*(W+2p) + i*(W+2p) + j``.
+    """
+    co, _, kh, kw = k.shape
+    pad = kh // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    n = nb * hp * wp
+    taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
+    s, kk = taps[0]
+    acc = kk @ rows[:, s : s + n]
+    term = np.empty_like(acc)
+    for s, kk in taps[1:]:
+        np.matmul(kk, rows[:, s : s + n], out=term)
+        acc += term
+    del term  # free before the output copy: lowers the peak by one grid
+    grid = acc.reshape(co, nb, hp, wp)[:, :, :h, :w]
+    return np.ascontiguousarray(grid.transpose(1, 0, 2, 3))
+
+
 def conv2d(x: Tensor, k: Tensor) -> Tensor:
     """2-D cross-correlation with zero padding preserving H x W.
 
     ``x`` is (B, C_in, H, W); ``k`` is (C_out, C_in, kh, kw) with odd
-    square spatial size.  Direct shift-and-add evaluation; desk-scale
-    images only.
+    square spatial size.  Each input channel is zero-padded once into one
+    row (:func:`_pad_rows`), and every kernel offset is then a single GEMM
+    on a shifted view of those rows.  The input gradient is the same
+    correlation of the output gradient with the kernel flipped and its
+    channels swapped; the kernel gradient is one GEMM per offset of the
+    padded output gradient against the saved rows.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
@@ -415,33 +457,27 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
     if c != ci:
         raise DimensionError(f"input has {c} channels, kernel expects {ci}")
     pad = kh // 2
-    xpad = np.zeros((nb, ci, h + 2 * pad, w + 2 * pad))
-    xpad[:, :, pad : pad + h, pad : pad + w] = x.data
-    out = np.zeros((nb, co, h, w))
-    for di in range(kh):
-        for dj in range(kw):
-            out += np.einsum(
-                "bchw,oc->bohw", xpad[:, :, di : di + h, dj : dj + w], k.data[:, :, di, dj]
-            )
+    rows = _pad_rows(x.data, pad)
+    out = _correlate_rows(rows, k.data, nb, h, w)
 
     def back(g, needs):
+        grows = _pad_rows(g, pad)
         gx = None
         gk = None
         if needs[0]:
-            gxpad = np.zeros_like(xpad)
-            for di in range(kh):
-                for dj in range(kw):
-                    gxpad[:, :, di : di + h, dj : dj + w] += np.einsum(
-                        "bohw,oc->bchw", g, k.data[:, :, di, dj]
-                    )
-            gx = gxpad[:, :, pad : pad + h, pad : pad + w]
+            flipped = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _correlate_rows(grows, flipped, nb, h, w)
         if needs[1]:
-            gk = np.zeros_like(k.data)
+            # Shifted by (p, p), the padded gradient puts g[b, :, i, j] at
+            # the top-left corner of window (i, j) and zeros everywhere else.
+            wp = w + 2 * pad
+            n = nb * (h + 2 * pad) * wp
+            g_corner = grows[:, pad * (wp + 1) : pad * (wp + 1) + n]
+            gk = np.empty_like(k.data)
             for di in range(kh):
                 for dj in range(kw):
-                    gk[:, :, di, dj] = np.einsum(
-                        "bohw,bchw->oc", g, xpad[:, :, di : di + h, dj : dj + w]
-                    )
+                    s = di * wp + dj
+                    gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
         return (gx, gk)
 
     return x.tape.record(out, (x, k), back)

@@ -2,9 +2,10 @@
 
 Subcommands: ``train``, ``eval``, ``collapse``, ``export-cov``,
 ``gen-data``, ``density-plot``.  A run is configured by a JSON file whose
-keys mirror :class:`RunConfig` (unknown keys are rejected) and can be
-overridden by flags.  Every artifact lands under the configured output
-directory.  Exit codes: 0 success, 1 configuration error, 2 runtime error.
+keys mirror :class:`RunConfig` (unknown keys and values of the wrong type
+are rejected) and can be overridden by flags.  Every artifact lands under
+the configured output directory.  Exit codes: 0 success, 1 configuration
+error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,11 +93,26 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
         unknown = sorted(set(values) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in values.items():
+            options = typing.get_args(hints[key]) or (hints[key],)
+            if not _fits(value, options):
+                expected = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+                raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return RunConfig(**values)
     except TypeError as e:
         raise ConfigError(f"invalid config: {e}") from e
+
+
+def _fits(value, options: tuple[type, ...]) -> bool:
+    """Whether a JSON value has one of the field's types: no bool for int, int for float."""
+    if isinstance(value, bool):
+        return bool in options
+    if isinstance(value, int) and float in options:
+        return True
+    return isinstance(value, options)
 
 
 def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:

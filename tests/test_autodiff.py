@@ -1,5 +1,6 @@
 """Gradient engine tests: oracles are nested loops and central differences."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -173,6 +174,61 @@ class TestConv2d:
         tape = ad.Tape()
         out = ad.conv2d(tape.constant(x), tape.constant(k))
         np.testing.assert_allclose(out.data, conv2d_loops(x, k, 1), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x_shape,k_shape",
+        [
+            ((2, 1, 8, 8), (16, 1, 3, 3)),  # decoder input conv
+            ((2, 16, 8, 8), (16, 16, 3, 3)),  # residual-block conv
+            ((2, 16, 8, 8), (1, 16, 3, 3)),  # decoder output conv
+            ((2, 1, 6, 6), (4, 1, 3, 3)),
+            ((2, 4, 6, 6), (1, 4, 3, 3)),
+            ((2, 3, 6, 6), (2, 3, 1, 1)),
+            ((2, 3, 7, 7), (2, 3, 5, 5)),
+            ((1, 3, 8, 8), (4, 3, 3, 3)),
+            ((2, 3, 6, 9), (4, 3, 3, 3)),
+        ],
+    )
+    def test_layer_and_edge_shapes_against_loop_oracle(self, x_shape, k_shape):
+        rng = np.random.default_rng(zlib.crc32(repr((x_shape, k_shape)).encode()))
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        tape = ad.Tape()
+        out = ad.conv2d(tape.constant(x), tape.constant(k))
+        np.testing.assert_allclose(out.data, conv2d_loops(x, k, k_shape[2] // 2), atol=1e-12)
+
+    @pytest.mark.parametrize("size", [3, 1])
+    @pytest.mark.parametrize("wrt", ["x", "k"])
+    def test_gradients_match_central_differences(self, wrt, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal((2, 2, 4, 5))
+        k = rng.standard_normal((3, 2, size, size))
+        weights = rng.standard_normal((2, 3, 4, 5))
+
+        def f(t):
+            tape = t.tape
+            xt = t.reshape(x.shape) if wrt == "x" else tape.constant(x)
+            kt = t.reshape(k.shape) if wrt == "k" else tape.constant(k)
+            return (ad.conv2d(xt, kt) * tape.constant(weights)).sum()
+
+        assert ad.grad_check(f, x if wrt == "x" else k, step=1e-5) < 1e-4
+
+    def test_forward_and_backward_allocate_no_im2col_matrix(self):
+        # A 3x3 im2col matrix alone is 9 x.nbytes; the padded-row GEMMs
+        # peak at about 6.6 x.nbytes here.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((64, 16, 28, 28))
+        k = rng.standard_normal((16, 16, 3, 3))
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            xt, kt = tape.param(x), tape.param(k)
+            tape.backward(ad.conv2d(xt, kt).sum())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert xt.grad.shape == x.shape and kt.grad.shape == k.shape
+        assert peak < 8 * x.nbytes
 
     def test_channel_mismatch(self):
         tape = ad.Tape()

@@ -140,6 +140,26 @@ class TestConfigValidation:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("seed", 1.5), ("epochs", 1.5), ("batch_size", "128"), ("hidden", True)]
+    )
+    def test_mistyped_value_fails_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"), **{key: value})
+        assert cli_main(["train", "--config", str(cfg)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_int_for_float_and_null_for_optional_are_echoed_as_given(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json", out_dir=str(tmp_path / "run"),
+            epochs=1, lam_sparse=1, data_seed=None,
+        )
+        assert cli_main(["train", "--config", str(cfg)]) == 0
+        values = json.loads(cfg.read_text())
+        expected = json.dumps(dataclasses.asdict(RunConfig(**values)), indent=2, sort_keys=True)
+        assert (tmp_path / "run" / "config.json").read_text() == expected + "\n"
+        assert '"lam_sparse": 1,' in expected
+
     def test_kind_choices_come_from_the_declarations(self, capsys):
         assert cli_main(["train", "--sampler", "other"]) == 1
         err = capsys.readouterr().err

@@ -28,7 +28,7 @@ GOLDEN = {
         "ccc88c0fd716ea357eb7f87fb848ac32c9fcd1117e0fc1b305d04774eda83d23",
     ),
     ("vanilla", "conv_resnet"): (
-        "2d7055c496210152629c292cf3ee75e34003720e5b5adba1cc15bc4d9ac13e8d",
+        "a78cdf5f2e0a31f4815e4690f0792b4c087fa9234360afdbadd80d4385ae30fb",
         "25c10731fb99715ae6c4211802d614800557452ef0dae09fd0b40cf7ddaf0b21",
     ),
     ("hypernet", "mlp"): (
@@ -36,7 +36,7 @@ GOLDEN = {
         "94b5d2eeeae34e4db7b079079f752b75702fc029a5364cf09b8c2b2d2170a5c6",
     ),
     ("hypernet", "conv_resnet"): (
-        "627def71c769b319574706e080fbfe28d46bdf0650ffa4522cabc7758863028f",
+        "352d23292a35d4e66529b5dc7fccfc3d139041c8ad80b98074914684f8c701f9",
         "1ec9ce3079a9a7ef24db87d915c3ffcf303cf1f0b539a435caf43adf3c9bdd3d",
     ),
     ("independent", "mlp"): (
@@ -44,7 +44,7 @@ GOLDEN = {
         "06cea9a0659104bcb0e405a43397213b5f34db7b29c2fd983941b19b9ab0be52",
     ),
     ("independent", "conv_resnet"): (
-        "d9832fe7e43246f6b66492dcfd1ef18a1218f0302944eb6101cb3e50dd8a1497",
+        "1b53e1f1dbd51beae527e86cb82a831d48a87229fa36ff24d5b53fcea45c12d1",
         "90ee6a936abdc4228b7843a9bb38c580064bc6f9878d10fbdb0e9496532d4787",
     ),
     ("concrete", "mlp"): (
@@ -52,7 +52,7 @@ GOLDEN = {
         "b6b119878ce70887feaac481e9e9b217ecf7f9980b1b372d7a99934abce60fcb",
     ),
     ("concrete", "conv_resnet"): (
-        "f638cbe4650b20bda795d82e9a9be6ca4ac39fd9adedb477fa20300df05fb702",
+        "6b961f74e2e364d6015ae7ac00d6714dd825e1104ad95feecb0b3c027fd66d17",
         "4a8300449ae4f5004470b0cd68fe9ced378e5dbc21cd2f3d090257d946c60fdd",
     ),
 }
