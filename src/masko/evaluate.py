@@ -87,6 +87,8 @@ def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: i
     if mask.shape != (n, n) or images.ndim != 3 or images.shape[1:] != (n, n):
         raise DimensionError(f"mask {mask.shape} / images {images.shape} vs decoder n={n}")
     count = images.shape[0]
+    if count == 0:
+        raise ParameterError("no images to evaluate")
     flat = images.reshape(count, n * n)
     mask_col = mask.reshape(n * n, 1)
     total = 0.0

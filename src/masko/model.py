@@ -158,9 +158,14 @@ def decoder_forward(
 
 
 def decoder_apply(dec: Decoder, x_cols: np.ndarray) -> np.ndarray:
-    """Non-differentiable convenience forward on a (n*n, B) array."""
+    """Non-differentiable forward on a (n*n, B) array.
+
+    Binds the weights as constants, so the tape records nothing and each
+    activation is freed once the next op has consumed it.
+    """
     tape = Tape()
-    xhat, _ = decoder_forward(tape, dec, tape.constant(x_cols))
+    leaves = {name: tape.constant(arr) for name, arr in dec.arrays.items()}
+    xhat, _ = decoder_forward(tape, dec, tape.constant(x_cols), leaves)
     return xhat.data
 
 

@@ -294,6 +294,15 @@ class TestBackward:
         with pytest.raises(ContractError):
             tape.backward(x)
 
+    def test_second_backward_on_a_tape_is_rejected(self):
+        tape = ad.Tape()
+        x = tape.param([1.0, 2.0])
+        loss = (x * x).sum()
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="already"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_gradient_linearity(self):
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal(8)

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from masko import model as md
 from masko import samplers as sp
 from masko.cli import RunConfig, cli_main
-from masko.data import load_idx, read_pgm
+from masko.data import load_idx, read_pgm, write_idx_images
 from masko.training import TrainConfig, save_checkpoint
 
 
@@ -190,6 +191,21 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "decoder" in capsys.readouterr().err
+
+    def test_empty_test_split_is_an_error(self, tmp_path, capsys):
+        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
+        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        write_idx_images(np.zeros((4, 8, 8)), tmp_path / "train.idx")
+        write_idx_images(np.zeros((0, 8, 8)), tmp_path / "test.idx")
+        cfg = write_config(
+            tmp_path / "cfg.json", dataset="idx", out_dir=str(tmp_path / "ev"),
+            train_images=str(tmp_path / "train.idx"), test_images=str(tmp_path / "test.idx"),
+        )
+        code = cli_main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no images" in err
+        assert not (tmp_path / "ev" / "eval.csv").exists()
 
 
 class TestCollapseCommand:

@@ -146,6 +146,10 @@ class TestEvalFixedMask:
         with pytest.raises(DimensionError):
             ev.eval_fixed_mask(np.ones((3, 3)), self.dec, self.images)
 
+    def test_zero_images_rejected(self):
+        with pytest.raises(ParameterError, match="no images"):
+            ev.eval_fixed_mask(np.ones((4, 4)), self.dec, np.zeros((0, 4, 4)))
+
     def test_batched_equals_single_shot(self):
         mask = np.zeros((4, 4))
         mask[1, 2] = 1.0

@@ -1,5 +1,7 @@
 """Decoder and objective tests; expected values recomputed outside the tape."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,21 @@ class TestDecoderForward:
 
             err = ad.grad_check(f, base.reshape(-1), max_coords=8)
             assert err < 1e-4, (kind, name)
+
+    def test_decoder_apply_frees_each_activation_after_use(self):
+        # A forward-only pass records nothing, so its peak spans a few
+        # activations, not every layer's output.
+        n, f, nb = 28, 16, 64
+        dec = md.init_decoder("conv_resnet", n=n, filters=f, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).random((n * n, nb))
+        tracemalloc.start()
+        try:
+            md.decoder_apply(dec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation_bytes = nb * f * n * n * 8  # one float64 conv layer output
+        assert peak < 8 * activation_bytes
 
     def test_shape_validation(self):
         dec = md.init_decoder("mlp", n=3, hidden=4)
