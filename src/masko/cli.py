@@ -121,8 +121,8 @@ def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if cfg.dataset == "idx":
         if cfg.train_images is None or cfg.test_images is None:
             raise ConfigError("dataset 'idx' requires train_images and test_images paths")
-        train = load_idx(cfg.train_images, cfg.train_labels, split="train")
-        test = load_idx(cfg.test_images, cfg.test_labels, split="test")
+        train = load_idx(cfg.train_images, cfg.train_labels)
+        test = load_idx(cfg.test_images, cfg.test_labels)
     else:
         n_test = max(1, round(cfg.data_count * cfg.test_fraction))
         n_train = cfg.data_count - n_test
@@ -136,12 +136,12 @@ def resolve_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         else:
             full = gen_gaussian_random_field(cfg.data_count, cfg.n, cfg.field_slope, seed=seed)
 
-        def part(rows: slice, split: str) -> Dataset:
+        def part(rows: slice) -> Dataset:
             labels = None if full.labels is None else full.labels[rows]
-            return Dataset(images=full.images[rows], split=split, source=full.source, labels=labels)
+            return Dataset(images=full.images[rows], labels=labels)
 
-        train = part(slice(None, n_train), "train")
-        test = part(slice(n_train, None), "test")
+        train = part(slice(None, n_train))
+        test = part(slice(n_train, None))
     for ds in (train, test):
         if ds.n != cfg.n:
             raise ConfigError(f"dataset images are {ds.n}x{ds.n} but config n={cfg.n}")
@@ -178,8 +178,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     rows = []
-    # equal sizes give identical top-K masks; score each size once
-    for k, mask in {int(mask.sum()): mask for mask in collapsed.masks}.items():
+    for k, mask in zip(collapsed.mask_sizes, collapsed.masks):
         mse = eval_fixed_mask(mask, dec, test.images)
         rows.append([k, float(mse)])
         print(f"mask {k:5d} pixels: test mse {mse:.6f}")
@@ -240,20 +239,20 @@ def cmd_gen_data(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # digit pixels lie in [0, 1] and quantize to u8; field anomalies are unbounded
     dtype = "u8" if cfg.dataset == "digits" else "f64"
-    for ds in (train, test):
-        write_idx_images(ds.images, out / f"{ds.split}-images.idx", dtype=dtype)
+    for split, ds in (("train", train), ("test", test)):
+        write_idx_images(ds.images, out / f"{split}-images.idx", dtype=dtype)
         if ds.labels is not None:
-            write_idx_labels(ds.labels, out / f"{ds.split}-labels.idx")
+            write_idx_labels(ds.labels, out / f"{split}-labels.idx")
     print(f"wrote {train.count} train / {test.count} test images under {out}")
     return 0
 
 
 def cmd_density_plot(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     eps = 1e-6
     ys = np.linspace(eps, 1.0 - eps, args.points)
     dens = logitnormal_pdf(ys, args.mu, args.sigma)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = [[float(y), float(d)] for y, d in zip(ys, dens)]
     path = out / f"density_mu{args.mu}_sigma{args.sigma}.csv"
     write_csv(path, ["y", "density"], rows)
@@ -268,12 +267,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _add_config_flags(p: argparse.ArgumentParser, training: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
+    """``--config`` and ``--out``, plus the named flag groups: seed, model,
+    data, window.  A subcommand takes only the groups it reads."""
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    if training:
+    if "seed" in groups:
+        p.add_argument("--seed", type=int)
+        p.add_argument("--mc-samples", dest="mc_samples", type=int)
+    if "model" in groups:
         p.add_argument("--sampler", choices=tuple(KINDS))
         p.add_argument("--decoder", choices=tuple(DECODER_KINDS))
         p.add_argument("--epochs", type=int)
@@ -283,6 +285,7 @@ def _add_config_flags(p: argparse.ArgumentParser, training: bool = True) -> None
         p.add_argument("--lambda-temp", dest="lam_temp", type=float)
         p.add_argument("--latent-dim", dest="latent_dim", type=int)
         p.add_argument("--hidden", type=int)
+    if "data" in groups:
         p.add_argument("--side", dest="n", type=int, help="image side length")
         p.add_argument("--dataset", choices=DATASET_KINDS)
         p.add_argument("--data-count", dest="data_count", type=int)
@@ -291,7 +294,7 @@ def _add_config_flags(p: argparse.ArgumentParser, training: bool = True) -> None
         p.add_argument("--train-labels", dest="train_labels")
         p.add_argument("--test-images", dest="test_images")
         p.add_argument("--test-labels", dest="test_labels")
-    else:
+    if "window" in groups:
         p.add_argument("--cov-start", dest="cov_start", type=int)
         p.add_argument("--cov-size", dest="cov_size", type=int)
 
@@ -308,21 +311,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_train = sub.add_parser("train", help="train a mask distribution and decoder")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, "seed", "model", "data")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="fixed-mask reconstruction error on the test split")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, "seed", "data")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_col = sub.add_parser("collapse", help="derandomize a trained distribution into masks")
-    _add_config_flags(p_col, training=False)
+    _add_config_flags(p_col, "seed")
     p_col.add_argument("--checkpoint", required=True)
     p_col.set_defaults(func=cmd_collapse)
 
     p_cov = sub.add_parser("export-cov", help="export a pre-sigmoid covariance window")
-    _add_config_flags(p_cov, training=False)
+    _add_config_flags(p_cov, "window")
     p_cov.add_argument("--checkpoint", required=True)
     p_cov.set_defaults(func=cmd_export_cov)
 
@@ -357,7 +360,7 @@ def cli_main(argv=None) -> int:
     except MaskoError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, IndexError, KeyError) as e:
+    except (OSError, ValueError, IndexError, KeyError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

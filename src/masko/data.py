@@ -38,8 +38,6 @@ IDX_LABELS_U8 = 0x00000801  # u8, 1 dimension
 @dataclass
 class Dataset:
     images: np.ndarray  # (count, n, n) float64
-    split: str  # "train" / "test" / "full"
-    source: str  # provenance descriptor
     labels: np.ndarray | None = None
 
     @property
@@ -89,7 +87,7 @@ def _read_be32(f) -> int:
     return struct.unpack(">I", read_exact(f, 4))[0]
 
 
-def load_idx(images_path, labels_path=None, split: str = "full") -> Dataset:
+def load_idx(images_path, labels_path=None) -> Dataset:
     """Parse big-endian IDX images (u8 scaled by 1/255, or raw float64)."""
     with open(images_path, "rb") as f:
         magic = _read_be32(f)
@@ -118,7 +116,7 @@ def load_idx(images_path, labels_path=None, split: str = "full") -> Dataset:
             if n_labels != count:
                 raise FormatError(f"{n_labels} labels for {count} images")
             labels = np.frombuffer(read_exact(f, n_labels), dtype=np.uint8).copy()
-    return Dataset(images=images, split=split, source=str(images_path), labels=labels)
+    return Dataset(images=images, labels=labels)
 
 
 def write_idx_images(images: np.ndarray, path, dtype: str = "u8") -> None:
@@ -159,11 +157,7 @@ def gen_gaussian_random_field(count: int, n: int, spectral_slope: float, seed: i
     fields = np.fft.ifft2(noise * amplitude[None]).real
     fields -= fields.mean()
     fields /= fields.std()
-    return Dataset(
-        images=fields,
-        split="full",
-        source=f"gaussian_field(n={n}, slope={spectral_slope}, seed={seed})",
-    )
+    return Dataset(images=fields)
 
 
 # Digit glyphs as strokes on the unit square (x right, y down).  Lines are
@@ -261,12 +255,7 @@ def gen_digits(count: int, n: int = 28, seed: int = 0) -> Dataset:
         if peak > 0:
             blurred = blurred / peak
         images[i] = np.clip(blurred * 1.6, 0.0, 1.0)
-    return Dataset(
-        images=images,
-        split="full",
-        source=f"digits(n={n}, seed={seed})",
-        labels=np.arange(count, dtype=np.uint8) % 10,
-    )
+    return Dataset(images=images, labels=np.arange(count, dtype=np.uint8) % 10)
 
 
 def write_pgm(image: np.ndarray, path) -> None:

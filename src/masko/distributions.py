@@ -55,8 +55,8 @@ class StretchConfig:
 
 def logitnormal_pdf(y, mu: float, sigma: float):
     """Density at ``y`` in (0,1) of sigmoid(X), X ~ Normal(mu, sigma)."""
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(mu) and 0 < sigma < math.inf):
+        raise ParameterError(f"need a finite mu and a finite positive sigma, got {mu}, {sigma}")
     y_arr = np.asarray(y, dtype=np.float64)
     if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0):
         raise DomainError("logitnormal_pdf defined on the open interval (0, 1)")

@@ -27,7 +27,7 @@ class CollapsedMask:
 
     probs: np.ndarray  # (n, n) per-pixel selection probability
     l0_estimate: float  # sum of probs
-    masks: list[np.ndarray]  # binary (n, n), counts rounded down/up to tens
+    masks: list[np.ndarray]  # binary (n, n), one per count: l0 rounded down and up to tens
 
     @property
     def mask_sizes(self) -> list[int]:
@@ -46,7 +46,7 @@ def top_k_mask(probs_flat: np.ndarray, k: int) -> np.ndarray:
 
 
 def _rounded_counts(l0: float) -> list[int]:
-    return [10 * math.floor(l0 / 10.0), 10 * math.ceil(l0 / 10.0)]
+    return sorted({10 * math.floor(l0 / 10.0), 10 * math.ceil(l0 / 10.0)})
 
 
 def collapse_distribution(

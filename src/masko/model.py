@@ -57,7 +57,6 @@ class LossBreakdown:
     recon: float  # mean squared reconstruction error
     sparsity: float  # expected-l0, normalized by pixel count
     total: float  # recon + lam_sparse * sparsity
-    lam_sparse: float
 
 
 def _mlp_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
@@ -197,5 +196,5 @@ def objective(
     # mean over coordinates (and draws, for per-draw terms) = normalized l0
     sparsity = terms.mean()
     total = recon + lam_sparse * sparsity
-    breakdown = LossBreakdown(recon.item(), sparsity.item(), total.item(), lam_sparse)
+    breakdown = LossBreakdown(recon.item(), sparsity.item(), total.item())
     return total, breakdown, dec_leaves

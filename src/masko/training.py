@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,10 @@ class TrainConfig:
     filters: int = 16
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -82,8 +86,8 @@ class TrainConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.decoder not in DECODER_KINDS:
             raise ConfigError(f"unknown decoder {self.decoder!r}")
-        if not 0.0 < self.lam_temp < math.inf:
-            raise ConfigError(f"lam_temp must be finite and positive, got {self.lam_temp}")
+        if not self.lam_temp > 0:
+            raise ConfigError(f"lam_temp must be positive, got {self.lam_temp}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.stretch = StretchConfig(gamma=self.gamma, eta=self.eta)  # not a field: asdict skips it

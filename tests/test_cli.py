@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "usage:" in err and "--bogus-flag" in err
 
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys):
+        # 4.4 EiB for the first decoder weight: more than any 64-bit address
+        # space, so the allocation fails at once without touching memory
+        code = cli_main(
+            ["train", "--dataset", "field", "--data-count", "16", "--side", "8",
+             "--hidden", "10000000000000000", "--epochs", "1", "--out", str(tmp_path / "D")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: MemoryError: ")
+
     def test_idx_dataset_round_trip(self, tmp_path):
         assert cli_main(
             ["gen-data", "--kind", "digits", "--count", "48", "--side", "12",
@@ -142,6 +153,21 @@ class TestConfigValidation:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (["--lambda-sparse", "nan"], {}),
+            (["--lr", "inf"], {}),
+            (["--field-slope", "nan"], {}),
+            ([], {"gamma": -math.inf}),  # written as -Infinity
+        ],
+    )
+    def test_non_finite_setting_fails_before_any_output(self, tmp_path, capsys, flags, config):
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"), **config)
+        assert cli_main(["train", "--config", str(cfg), *flags]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
         "key,value", [("seed", 1.5), ("epochs", 1.5), ("batch_size", "128"), ("hidden", True)]
     )
     def test_mistyped_value_fails_before_any_output(self, tmp_path, capsys, key, value):
@@ -165,6 +191,30 @@ class TestConfigValidation:
         assert cli_main(["train", "--sampler", "other"]) == 1
         err = capsys.readouterr().err
         assert all(kind in err for kind in sp.KINDS)
+
+
+# (subcommand, flag, value): each flag sets a field the subcommand does not read
+UNREAD_FLAGS = [
+    ("eval", "--sampler", "vanilla"), ("eval", "--decoder", "mlp"), ("eval", "--epochs", "3"),
+    ("eval", "--batch-size", "16"), ("eval", "--lr", "0.01"), ("eval", "--lambda-sparse", "0.1"),
+    ("eval", "--lambda-temp", "0.3"), ("eval", "--latent-dim", "8"), ("eval", "--hidden", "32"),
+    ("collapse", "--cov-start", "0"), ("collapse", "--cov-size", "4"),
+    ("export-cov", "--seed", "1"), ("export-cov", "--mc-samples", "16"),
+]
+
+
+class TestFlagGroups:
+    @pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
+        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        cfg = write_config(tmp_path / "cfg.json")
+        argv = [command, "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin")]
+        assert cli_main([*argv, flag, value, "--out", str(tmp_path / "bad")]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not (tmp_path / "bad").exists()
+        assert cli_main([*argv, "--out", str(tmp_path / "ok")]) == 0
 
 
 class TestEvalCommand:
@@ -226,6 +276,18 @@ class TestCollapseCommand:
         assert mask30.sum() == 30  # binary pgm: 0 or 1 exactly
         idx_rows = read_csv(tmp_path / "col" / "mask_30.csv")
         assert len(idx_rows) == 31  # header + 30 pixel indices
+
+    def test_expected_count_on_a_ten_gives_one_mask(self, tmp_path, capsys):
+        b = np.where(np.arange(100) < 20, 1.0, -1.0)  # exactly 20 sure pixels
+        p = sp.SamplerParams("vanilla", {"w": np.zeros((100, 4)), "b": b}, 0.3, 10, 4)
+        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        code = cli_main(
+            ["collapse", "--checkpoint", str(tmp_path / "ckpt.bin"), "--out", str(tmp_path / "col")]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "col" / "collapse.json").read_text())
+        assert summary["mask_sizes"] == [20]
+        assert "masks=[20]" in capsys.readouterr().out
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
         code = cli_main(
@@ -357,3 +419,12 @@ class TestDensityPlotCommand:
         ys = np.array([float(r[0]) for r in rows[1:]])
         dens = np.array([float(r[1]) for r in rows[1:]])
         assert abs(np.trapezoid(dens, ys) - 1.0) < 1e-4
+
+    @pytest.mark.parametrize(
+        "mu,sigma", [("nan", "1"), ("inf", "1"), ("-inf", "1"), ("0", "inf"), ("0", "nan")]
+    )
+    def test_non_finite_parameters_are_rejected(self, tmp_path, capsys, mu, sigma):
+        code = cli_main(["density-plot", f"--mu={mu}", f"--sigma={sigma}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))

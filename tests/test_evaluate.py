@@ -31,6 +31,13 @@ class TestCollapse:
         flat20 = c.masks[0].reshape(-1)
         assert flat20[:27].sum() == 20 and flat20[27:].sum() == 0
 
+    def test_count_on_a_ten_gives_one_mask(self):
+        b = np.where(np.arange(100) < 20, 1.0, -1.0)  # exactly 20 sure pixels
+        p = sp.SamplerParams("vanilla", {"w": np.zeros((100, 4)), "b": b}, 0.3, 10, 4)
+        c = ev.collapse_distribution(p)
+        assert c.l0_estimate == 20.0 and c.mask_sizes == [20]
+        assert c.masks[0].reshape(-1)[:20].sum() == 20
+
     def test_multiple_of_ten_gives_equal_masks(self):
         b = np.where(np.arange(16) < 2, 8.0, -8.0)
         p = sp.SamplerParams("vanilla", {"w": np.ones((16, 2)) * 1e-9, "b": b}, 0.3, 4, 2)
