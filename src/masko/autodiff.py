@@ -29,6 +29,7 @@ from .errors import (
     EvaluationError,
     ParameterError,
 )
+from .rng import STREAM_EVAL, stream
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -514,7 +515,7 @@ def grad_check(
 
     flat_idx: Iterable[int]
     if max_coords is not None and max_coords < theta.size:
-        gen = rng if rng is not None else np.random.default_rng(0)
+        gen = rng if rng is not None else stream(0, STREAM_EVAL)
         flat_idx = gen.choice(theta.size, size=max_coords, replace=False)
     else:
         flat_idx = range(theta.size)

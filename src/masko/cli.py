@@ -174,14 +174,14 @@ def cmd_eval(args) -> int:
     params, dec = load_checkpoint(args.checkpoint)
     if dec is None:
         raise ConfigError("checkpoint has no decoder; train before evaluating")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     rows = []
     for k, mask in zip(collapsed.mask_sizes, collapsed.masks):
         mse = eval_fixed_mask(mask, dec, test.images)
         rows.append([k, float(mse)])
         print(f"mask {k:5d} pixels: test mse {mse:.6f}")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "eval.csv", ["mask_pixels", "test_mse"], rows)
     print(f"expected active pixels {collapsed.l0_estimate:.2f}; table in {out / 'eval.csv'}")
     return 0
@@ -190,9 +190,9 @@ def cmd_eval(args) -> int:
 def cmd_collapse(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     params, _ = load_checkpoint(args.checkpoint)
+    collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     n = collapsed.probs.shape[0]
     write_pgm(collapsed.probs, out / "probs.pgm")
     prob_rows = [
@@ -219,13 +219,13 @@ def cmd_collapse(args) -> int:
 def cmd_export_cov(args) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     params, _ = load_checkpoint(args.checkpoint)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # clipped to [-1, n*n]: the window stays out of range if it was, but a
     # huge cov_start or cov_size fails the range check without being allocated
     m = params.n * params.n
     indices = np.arange(max(cfg.cov_start, -1), min(cfg.cov_start + cfg.cov_size, m + 1))
     cov = export_covariance(params, indices)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     header = [f"p{i}" for i in indices]
     write_csv(out / "covariance.csv", header, [[float(v) for v in row] for row in cov])
     print(f"{cov.shape[0]}x{cov.shape[1]} covariance window in {out / 'covariance.csv'}")
@@ -248,6 +248,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_density_plot(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points must be at least 2, got {args.points}")
     eps = 1e-6
     ys = np.linspace(eps, 1.0 - eps, args.points)
     dens = logitnormal_pdf(ys, args.mu, args.sigma)

@@ -43,13 +43,8 @@ class StretchConfig:
             raise ConfigError(f"need gamma < 0 < 1 < eta, got gamma={self.gamma}, eta={self.eta}")
 
     @property
-    def zero_threshold(self) -> float:
-        """Pre-stretch value mapped to 0: -gamma / (eta - gamma), in (0, 1)."""
-        return -self.gamma / (self.eta - self.gamma)
-
-    @property
     def log_odds_threshold(self) -> float:
-        """log(-gamma / eta), the logit of ``zero_threshold``."""
+        """log(-gamma / eta), the logit of the pre-stretch value that maps to 0."""
         return math.log(-self.gamma / self.eta)
 
 

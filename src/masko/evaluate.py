@@ -113,7 +113,7 @@ def export_covariance(params: SamplerParams, indices: np.ndarray | None = None) 
     if indices is not None:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size < 1 or indices.min() < 0 or indices.max() >= m:
-            raise IndexError(f"pixel indices outside 0..{m}")
+            raise IndexError(f"pixel indices outside 0..{m - 1}")
         w = w[indices]
     cov = w @ w.T
     return (cov + cov.T) / 2.0  # exact symmetry regardless of BLAS order

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .distributions import StretchConfig, concrete_l0_terms, expected_l0_terms
 from .errors import ConfigError, DimensionError
+from .rng import STREAM_INIT, stream
 from .samplers import LEAKY_SLOPE, SamplerOutput
 
 
@@ -128,7 +129,7 @@ def init_decoder(
     if spec is None:
         raise ConfigError(f"unknown decoder kind {kind!r}; expected one of {tuple(DECODER_KINDS)}")
     if rng is None:
-        rng = np.random.default_rng(0)
+        rng = stream(0, STREAM_INIT)
     width = {"hidden": hidden, "filters": filters}[spec.width_field]
     arrays = {}
     for name, (shape, fan_in) in spec.layout(n * n, width).items():

@@ -10,14 +10,14 @@ Four variants over n*n pixels:
 * ``concrete`` — relaxed binary concrete baseline driven by uniform noise.
 
 Each variant is one :class:`SamplerKind` declaration in :data:`KINDS`:
-its array shapes and init bounds, its noise draw, its forward pass over
-bound leaf tensors and its zero-temperature collapse.  The forward is the
-kind's sampling law; this module is the one place that draws masks, and
-the law's closed forms (stretch, expected l0, collapse probabilities)
-live in :mod:`masko.distributions`.  Parameters are a
-:class:`SamplerParams` holding plain float64 numpy arrays; a forward pass
-binds them to a tape and returns the soft and stretched masks plus the
-bound leaves so the training loop can read gradients.
+its array shapes and init bounds, its noise draw, its forward pass and
+closed-form law over bound leaf tensors, and its zero-temperature
+collapse, which runs that tape code on constants.  This module is the one
+place that draws masks; the law's closed forms (stretch, expected l0,
+collapse probabilities) live in :mod:`masko.distributions`.  Parameters
+are a :class:`SamplerParams` holding plain float64 numpy arrays; a
+forward pass binds them to a tape and returns the soft and stretched
+masks plus the bound leaves so the training loop can read gradients.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class SamplerKind:
     collapse: Callable[[SamplerParams, int, int], np.ndarray]
     # (rng, (rows, batch)) -> the noise one forward pass consumes
     draw: Callable = np.random.Generator.standard_normal
-    # arrays -> per-pixel pre-sigmoid (mean, std), for kinds with a closed form
-    law: Callable[[dict[str, np.ndarray]], tuple[np.ndarray, np.ndarray]] | None = None
+    # leaves -> per-pixel pre-sigmoid (mean, std); the forward and the collapse both call it
+    law: Callable[[dict[str, Tensor]], tuple[Tensor, Tensor]] | None = None
     # (params, rng) -> None; runs after the uniform init
     calibrate: Callable[[SamplerParams, np.random.Generator], None] | None = None
 
@@ -105,20 +105,19 @@ def _open_uniform(rng: np.random.Generator, shape) -> np.ndarray:
         u[bad] = rng.random(int(bad.sum()))
 
 
-def _affine2(a: dict[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
-    """Two affine layers with a leaky-ReLU between, on (in_dim, B) columns."""
-    h = a[f"{prefix}.w1"] @ x + a[f"{prefix}.b1"][:, None]
-    h = np.where(h > 0, h, LEAKY_SLOPE * h)
-    return a[f"{prefix}.w2"] @ h + a[f"{prefix}.b2"][:, None]
+def _constants(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
+    """The arrays bound as constants: the kind's tape code then records nothing."""
+    return {name: tape.constant(arr) for name, arr in params.arrays.items()}
 
 
 def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
-    """Plain numpy hypernet pre-sigmoid values, (B, n*n), for draws z (d, B)."""
-    a = params.arrays
-    r = _affine2(a, "rep", z)
-    w_z = _affine2(a, "fw", r).T.reshape(z.shape[1], params.n * params.n, params.d)
-    b_z = _affine2(a, "fb", r).T
-    return np.einsum("bmd,db->bm", w_z, z) + b_z
+    """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B)."""
+    tape = Tape()
+    leaves = _constants(tape, params)
+    r = _affine2_cols(leaves, "rep", tape.constant(z))
+    w_z = _affine2_cols(leaves, "fw", r).data  # (n*n*d, B)
+    b_z = _affine2_cols(leaves, "fb", r).data  # (n*n, B)
+    return np.einsum("mdb,db->mb", w_z.reshape(-1, params.d, z.shape[1]), z) + b_z
 
 
 def _affine2_cols(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -139,9 +138,9 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
 
 def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """sigmoid_lam(W z + b); pixel i is logitNormal with mean b[i] and std |W[i]|."""
-    w, b = leaves["w"], leaves["b"]
-    soft = ad.sigmoid_temp(ad.matmul(w, zt) + b.reshape((b.size, 1)), p.lam)
-    return soft, (b, ad.sqrt((w * w).sum(axis=1))), None
+    b = leaves["b"]
+    soft = ad.sigmoid_temp(ad.matmul(leaves["w"], zt) + b.reshape((b.size, 1)), p.lam)
+    return soft, KINDS[p.kind].law(leaves), None
 
 
 def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
@@ -161,8 +160,7 @@ def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> t
 
 def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """sigmoid_lam(mu + z * sigma), one independent draw per pixel."""
-    mu = leaves["mu"]
-    sigma = ad.softplus(leaves["sigma_raw"])
+    mu, sigma = KINDS[p.kind].law(leaves)
     m = mu.size
     soft = ad.sigmoid_temp(mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), p.lam)
     return soft, (mu, sigma), None
@@ -178,12 +176,13 @@ def _concrete_mask(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> t
 
 
 def _collapse_law(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
-    return collapse_prob(*KINDS[p.kind].law(p.arrays))
+    mean, std = KINDS[p.kind].law(_constants(Tape(), p))
+    return collapse_prob(mean.data, std.data)
 
 
 def _hypernet_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
     z = stream(seed, STREAM_EVAL).standard_normal((p.d, mc_samples))
-    return (hypernet_pre(p, z) > 0).mean(axis=0)
+    return (hypernet_pre(p, z) > 0).mean(axis=1)
 
 
 def _concrete_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
@@ -209,7 +208,7 @@ KINDS: dict[str, SamplerKind] = {
         layout=lambda m, d, k: {"w": ((m, d), math.sqrt(3.0 / d)), "b": ((m,), 0.0)},
         forward=_vanilla_mask,
         collapse=_collapse_law,
-        law=lambda a: (a["b"].copy(), np.sqrt((a["w"] ** 2).sum(axis=1))),
+        law=lambda lv: (lv["b"], ad.sqrt((lv["w"] * lv["w"]).sum(axis=1))),
     ),
     "hypernet": SamplerKind(
         tag=1,
@@ -229,7 +228,7 @@ KINDS: dict[str, SamplerKind] = {
         layout=lambda m, d, k: {"mu": ((m,), 0.0), "sigma_raw": ((m,), 0.0)},
         forward=_independent_mask,
         collapse=_collapse_law,
-        law=lambda a: (a["mu"].copy(), np.logaddexp(0.0, a["sigma_raw"])),
+        law=lambda lv: (lv["mu"], ad.softplus(lv["sigma_raw"])),
         calibrate=_independent_calibrate,
     ),
     "concrete": SamplerKind(

@@ -295,6 +295,20 @@ class TestCollapseCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["collapse", "eval"])
+    def test_non_finite_weight_leaves_no_output_directory(self, tmp_path, capsys, command):
+        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
+        p.arrays["w"][3, 2] = np.nan
+        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        cfg = write_config(tmp_path / "cfg.json")
+        code = cli_main(
+            [command, "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExportCovCommand:
     def test_window_csv(self, tmp_path):
@@ -318,6 +332,7 @@ class TestExportCovCommand:
              "--cov-start", "10", "--cov-size", "100", "--out", str(tmp_path / "cov")]
         )
         assert code == 2
+        assert "outside 0..15" in capsys.readouterr().err  # 16 pixels, the last is 15
 
     @pytest.mark.parametrize("start,size", [(-1, 4), (0, 0), (0, 10**12), (-(10**12), 10**12 + 4)])
     def test_window_edges_and_huge_windows(self, tmp_path, capsys, start, size):
@@ -329,7 +344,7 @@ class TestExportCovCommand:
              "--cov-start", str(start), "--cov-size", str(size), "--out", str(tmp_path / "cov")]
         )
         assert code == 2
-        assert not (tmp_path / "cov" / "covariance.csv").exists()
+        assert not (tmp_path / "cov").exists()
 
 
 class TestGenDataCommand:
@@ -428,3 +443,13 @@ class TestDensityPlotCommand:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("points", ["0", "1", "-5"])
+    def test_fewer_than_two_points_is_a_configuration_error(self, tmp_path, capsys, points):
+        out = tmp_path / "dens"
+        code = cli_main(
+            ["density-plot", "--mu", "0", "--sigma", "1", f"--points={points}", "--out", str(out)]
+        )
+        assert code == 1
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()

@@ -167,7 +167,7 @@ class TestStretch:
         g = rng.standard_normal(200_000)
         y = 1 / (1 + np.exp(-(mu + sigma * g) / lam))
         emp = (np.clip(1.2 * y - 0.1, 0, 1) == 0).mean()
-        t = self.CFG.zero_threshold
+        t = -self.CFG.gamma / (self.CFG.eta - self.CFG.gamma)
         expect = phi_quad((lam * math.log(t / (1 - t)) - mu) / sigma)
         assert emp == pytest.approx(expect, abs=3 * math.sqrt(expect * (1 - expect) / g.size))
 

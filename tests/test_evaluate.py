@@ -9,6 +9,7 @@ from masko import evaluate as ev
 from masko import model as md
 from masko import samplers as sp
 from masko import training as tr
+from masko.distributions import collapse_prob
 from masko.errors import ContractError, DimensionError, ParameterError
 
 
@@ -65,14 +66,23 @@ class TestCollapse:
             permuted.masks[1].reshape(-1), base.masks[1].reshape(-1)[perm]
         )
 
-    def test_vanilla_estimate_matches_zero_temperature_form(self):
+    def test_vanilla_estimate_matches_zero_temperature_form(self, numpy_law):
         rng = np.random.default_rng(2)
         p = sp.init_sampler("vanilla", n=5, d=8, seed=2)
         p.arrays["b"][:] = rng.uniform(-2, 2, 25)
         c = ev.collapse_distribution(p)
-        mu, row_norm = sp.KINDS["vanilla"].law(p.arrays)
+        mu, row_norm = numpy_law(p)
         expect = (1.0 - np.vectorize(math.erf)(-mu / row_norm / math.sqrt(2)) * 0.5 - 0.5).sum()
         assert abs(c.l0_estimate - expect) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["vanilla", "independent"])
+    def test_analytic_collapse_is_collapse_prob_of_the_law(self, kind, numpy_law):
+        rng = np.random.default_rng(5)
+        p = sp.init_sampler(kind, n=5, d=8, seed=5)
+        for a in p.arrays.values():
+            a += rng.standard_normal(a.shape)
+        c = ev.collapse_distribution(p)
+        np.testing.assert_array_equal(c.probs.reshape(-1), collapse_prob(*numpy_law(p)))
 
     def test_hypernet_monte_carlo_matches_low_temperature_sampling(self):
         p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=3)
@@ -82,7 +92,7 @@ class TestCollapse:
         n_draws = 40_000
         pre = sp.hypernet_pre(p, rng.standard_normal((4, n_draws)))
         y = 1 / (1 + np.exp(-np.clip(pre / 1e-3, -700, 700)))
-        emp = (y > 0.5).mean(axis=0)
+        emp = (y > 0.5).mean(axis=1)
         assert np.abs(c.probs.reshape(-1) - emp).max() < 0.03
 
     def test_factored_analytic_vs_monte_carlo_frequency(self):

@@ -142,7 +142,7 @@ class TestObjective:
         assert breakdown.recon == pytest.approx(per_pixel_var, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["vanilla", "independent", "concrete"])
-    def test_breakdown_matches_recomputation(self, kind):
+    def test_breakdown_matches_recomputation(self, kind, numpy_law):
         n = 3
         rng = np.random.default_rng(8)
         p = sp.init_sampler(kind, n=n, d=4, seed=8)
@@ -162,7 +162,7 @@ class TestObjective:
             t = p.lam * np.log(-CFG.gamma / CFG.eta)
             sparsity_np = (1 / (1 + np.exp(-(p.arrays["log_alpha"] - t)))).mean()
         else:
-            sparsity_np = expected_l0(*sp.KINDS[kind].law(p.arrays), p.lam, CFG) / (n * n)
+            sparsity_np = expected_l0(*numpy_law(p), p.lam, CFG) / (n * n)
         assert breakdown.recon == pytest.approx(recon_np, abs=1e-12)
         assert breakdown.sparsity == pytest.approx(sparsity_np, abs=1e-12)
         assert breakdown.total == pytest.approx(recon_np + lam_sparse * sparsity_np, abs=1e-12)

@@ -121,6 +121,24 @@ class TestHypernetForward:
             err = ad.grad_check(f, base[name].reshape(-1), max_coords=12)
             assert err < 1e-4, name
 
+    @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 7), (8, 4, 8, 64), (28, 16, 32, 256)])
+    def test_pre_activation_is_pixels_by_draws(self, n, d, k, nb):
+        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=11)
+        z = np.random.default_rng(11).standard_normal((d, nb))
+        a = p.arrays
+
+        def affine2(prefix, x):
+            h = a[f"{prefix}.w1"] @ x + a[f"{prefix}.b1"][:, None]
+            h = np.where(h > 0, h, 0.2 * h)
+            return a[f"{prefix}.w2"] @ h + a[f"{prefix}.b2"][:, None]
+
+        r = affine2("rep", z)
+        w_z = affine2("fw", r).T.reshape(nb, n * n, d)  # (B, n*n, d)
+        expect = np.einsum("bmd,db->bm", w_z, z) + affine2("fb", r).T
+        pre = sp.hypernet_pre(p, z)
+        assert pre.shape == (n * n, nb)
+        np.testing.assert_array_equal(pre, expect.T)
+
 
 class TestIndependentForward:
     def test_centered(self):
