@@ -252,21 +252,13 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, or batched 3-D x 3-D."""
-    if a.data.ndim == 2 and b.data.ndim == 2:
-        if a.data.shape[1] != b.data.shape[0]:
-            raise DimensionError(f"matmul {a.shape} x {b.shape}")
-    elif a.data.ndim == 3 and b.data.ndim == 3:
-        if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
-            raise DimensionError(f"batched matmul {a.shape} x {b.shape}")
-    else:
-        raise DimensionError(f"matmul needs 2-D or matching 3-D operands, got {a.shape}, {b.shape}")
+    """Matrix product of two 2-D tensors."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul needs (m, k) x (k, n) operands, got {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g, needs):
-        ga = g @ b.data.swapaxes(-1, -2) if needs[0] else None
-        gb = a.data.swapaxes(-1, -2) @ g if needs[1] else None
-        return (ga, gb)
+        return (g @ b.data.T if needs[0] else None, a.data.T @ g if needs[1] else None)
 
     return a.tape.record(out, (a, b), back)
 

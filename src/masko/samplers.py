@@ -35,6 +35,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .rng import STREAM_EVAL, STREAM_INIT, stream
 
 LEAKY_SLOPE = 0.2
+PRE_BLOCK = 64  # draws per hypernet_pre block: bounds the (n*n, d, block) product
 
 
 @dataclass
@@ -58,8 +59,8 @@ class SamplerOutput:
     """Forward-pass products needed by the objective and the optimizer.
 
     Exactly one of ``law`` and ``logits`` is set: the Gaussian kinds give
-    their pre-sigmoid (mean, std) per pixel, or per draw and pixel for the
-    hypernet; the concrete kind gives its logits.
+    their pre-sigmoid (mean, std) per pixel, or as (n*n, B) per pixel and
+    draw for the hypernet; the concrete kind gives its logits.
     """
 
     soft: Tensor  # (n*n, B)
@@ -111,13 +112,22 @@ def _constants(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
 
 
 def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
-    """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B)."""
+    """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B): the
+    training code on constants, over blocks of :data:`PRE_BLOCK` draws."""
     tape = Tape()
     leaves = _constants(tape, params)
-    r = _affine2_cols(leaves, "rep", tape.constant(z))
-    w_z = _affine2_cols(leaves, "fw", r).data  # (n*n*d, B)
-    b_z = _affine2_cols(leaves, "fb", r).data  # (n*n, B)
-    return np.einsum("mdb,db->mb", w_z.reshape(-1, params.d, z.shape[1]), z) + b_z
+    blocks = (z[:, i : i + PRE_BLOCK] for i in range(0, z.shape[1], PRE_BLOCK))
+    return np.hstack([_hypernet_pre(params, leaves, tape.constant(zb))[0].data for zb in blocks])
+
+
+def _hypernet_pre(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """W_z z + b_z for each draw column of zt (d, B), with W_z as the
+    (n*n, d, B) reshape of F_W's output; returns (pre, w_z, b_z)."""
+    nb = zt.shape[1]
+    r = _affine2_cols(leaves, "rep", zt)  # (k, B)
+    w_z = _affine2_cols(leaves, "fw", r).reshape((p.n * p.n, p.d, nb))
+    b_z = _affine2_cols(leaves, "fb", r)  # (n*n, B)
+    return (w_z * zt.reshape((1, p.d, nb))).sum(axis=1) + b_z, w_z, b_z
 
 
 def _affine2_cols(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -146,16 +156,8 @@ def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tu
 def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """Each column of the draw yields its own (W_z, b_z); conditioned on a
     fixed draw the mask is deterministic, and the law is per draw."""
-    m = p.n * p.n
-    nb = zt.data.shape[1]
-    r = _affine2_cols(leaves, "rep", zt)  # (k, B)
-    wz_cols = _affine2_cols(leaves, "fw", r)  # (n*n*d, B)
-    bz_cols = _affine2_cols(leaves, "fb", r)  # (n*n, B)
-    w_z = ad.transpose(wz_cols).reshape((nb, m, p.d))
-    b_z = ad.transpose(bz_cols)  # (B, n*n)
-    z_col = ad.transpose(zt).reshape((nb, p.d, 1))
-    pre = ad.transpose(ad.matmul(w_z, z_col).reshape((nb, m)) + b_z)  # (n*n, B)
-    return ad.sigmoid_temp(pre, p.lam), (b_z, ad.sqrt((w_z * w_z).sum(axis=2))), None
+    pre, w_z, b_z = _hypernet_pre(p, leaves, zt)
+    return ad.sigmoid_temp(pre, p.lam), (b_z, ad.sqrt((w_z * w_z).sum(axis=1))), None
 
 
 def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:

@@ -1,6 +1,7 @@
 """Collapse, fixed-mask scoring and covariance export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestCollapse:
         y = 1 / (1 + np.exp(-np.clip(pre / 1e-3, -700, 700)))
         emp = (y > 0.5).mean(axis=1)
         assert np.abs(c.probs.reshape(-1) - emp).max() < 0.03
+
+    def test_hypernet_monte_carlo_runs_in_blocks(self):
+        # 1,024 draws at once would hold a 197 MiB (n*n, d, draws) product
+        p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=6)
+        tracemalloc.start()
+        try:
+            ev.collapse_distribution(p, mc_samples=1024, seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_factored_analytic_vs_monte_carlo_frequency(self):
         rng = np.random.default_rng(4)

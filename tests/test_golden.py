@@ -32,11 +32,11 @@ GOLDEN = {
         "25c10731fb99715ae6c4211802d614800557452ef0dae09fd0b40cf7ddaf0b21",
     ),
     ("hypernet", "mlp"): (
-        "7bbeb48e413384758600212898e9fed1ba5665ff2476015bde2f08b69e339651",
+        "bec2fc33c60982ff4d71cf297eecd1b695d1373a3a94d0c07ceccf4957da3e54",
         "94b5d2eeeae34e4db7b079079f752b75702fc029a5364cf09b8c2b2d2170a5c6",
     ),
     ("hypernet", "conv_resnet"): (
-        "352d23292a35d4e66529b5dc7fccfc3d139041c8ad80b98074914684f8c701f9",
+        "f8bc4faaa22271dd44e2c75eaee3661def0ef27ad2b476b7c11d5e28ce50844c",
         "1ec9ce3079a9a7ef24db87d915c3ffcf303cf1f0b539a435caf43adf3c9bdd3d",
     ),
     ("independent", "mlp"): (

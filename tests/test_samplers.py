@@ -90,9 +90,19 @@ class TestHypernetForward:
         tape = ad.Tape()
         z = np.random.default_rng(1).standard_normal((4, 2))
         out = sp.sampler_forward(tape, p, z, CFG)
-        b_z, row_norm = (t.data for t in out.law)  # per draw: b_z and the row norms of W_z
-        assert not np.allclose(row_norm[0], row_norm[1])
-        assert not np.allclose(b_z[0], b_z[1])
+        b_z, row_norm = (t.data for t in out.law)  # one column per draw: b_z and the row norms of W_z
+        assert b_z.shape == row_norm.shape == (9, 2)
+        assert not np.allclose(row_norm[:, 0], row_norm[:, 1])
+        assert not np.allclose(b_z[:, 0], b_z[:, 1])
+
+    @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 1), (3, 4, 8, 7), (8, 4, 8, 64), (28, 16, 32, 64)])
+    def test_training_mask_is_sigmoid_of_pre_activation(self, n, d, k, nb):
+        # training, calibration and collapse share one contraction, bit for bit
+        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=12)
+        z = np.random.default_rng(12).standard_normal((d, nb))
+        soft = sp.sampler_forward(ad.Tape(), p, z, CFG).soft.data
+        tape = ad.Tape()
+        np.testing.assert_array_equal(soft, ad.sigmoid_temp(tape.constant(sp.hypernet_pre(p, z)), p.lam).data)
 
     def test_conditionally_deterministic(self):
         p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=2)
@@ -121,7 +131,7 @@ class TestHypernetForward:
             err = ad.grad_check(f, base[name].reshape(-1), max_coords=12)
             assert err < 1e-4, name
 
-    @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 7), (8, 4, 8, 64), (28, 16, 32, 256)])
+    @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 7), (8, 4, 8, 64), (5, 3, 4, 130), (28, 16, 32, 256)])
     def test_pre_activation_is_pixels_by_draws(self, n, d, k, nb):
         p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=11)
         z = np.random.default_rng(11).standard_normal((d, nb))
