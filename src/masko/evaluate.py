@@ -75,9 +75,12 @@ def collapse_distribution(
 def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: int = 256) -> float:
     """Mean per-pixel squared reconstruction error under a frozen mask.
 
-    ``mask`` is binary (n, n); ``images`` is (count, n, n).  Deterministic:
-    fixed batching order, single-threaded summation.
+    ``mask`` is binary (n, n); ``images`` is (count, n, n), decoded
+    ``batch`` images at a time.  Deterministic: fixed batching order,
+    single-threaded summation.
     """
+    if not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ParameterError(f"batch must be an integer >= 1, got {batch!r}")
     mask = np.asarray(mask, dtype=np.float64)
     uniq = np.unique(mask)
     if not np.all(np.isin(uniq, (0.0, 1.0))):

@@ -113,7 +113,13 @@ def _constants(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
 
 def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
     """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B): the
-    training code on constants, over blocks of :data:`PRE_BLOCK` draws."""
+    training code on constants, over blocks of :data:`PRE_BLOCK` draws.
+
+    BLAS picks its GEMM kernel by column count, so a short last block can
+    round differently from the same draws inside a wider product.  When B
+    exceeds PRE_BLOCK and is not a multiple of it, the last bits therefore
+    depend on the block split; they are still reproducible for a given B.
+    """
     tape = Tape()
     leaves = _constants(tape, params)
     blocks = (z[:, i : i + PRE_BLOCK] for i in range(0, z.shape[1], PRE_BLOCK))

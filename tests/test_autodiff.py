@@ -190,6 +190,42 @@ class TestConv2d:
         out = ad.conv2d(tape.constant(x), tape.constant(k))
         np.testing.assert_allclose(out.data, conv2d_loops(x, k, k_shape[2] // 2), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "x_shape,k_shape",
+        [
+            ((16, 1, 28, 28), (16, 1, 3, 3)),  # input conv: broadcast products
+            ((5, 16, 28, 28), (16, 16, 3, 3)),
+            ((5, 16, 28, 28), (1, 16, 3, 3)),  # output conv: broadcast input gradient
+        ],
+    )
+    def test_panels_equal_one_piece_accumulation(self, x_shape, k_shape):
+        # The padded rows span several panels and end in a short one; the
+        # panels must not move a bit against full-width per-offset GEMMs.
+        nb, _, h, w = x_shape
+        assert nb * (h + 2) * (w + 2) > ad.PANEL and nb * (h + 2) * (w + 2) % ad.PANEL != 0
+
+        def one_piece(x, k):
+            rows = ad._pad_rows(x, 1)
+            wp, n = w + 2, nb * (h + 2) * (w + 2)
+            taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(3) for dj in range(3)]
+            acc = taps[0][1] @ rows[:, taps[0][0] : taps[0][0] + n]
+            for s, kk in taps[1:]:
+                acc += kk @ rows[:, s : s + n]
+            grid = acc.reshape(k.shape[0], nb, h + 2, w + 2)[:, :, :h, :w]
+            return grid.transpose(1, 0, 2, 3)
+
+        rng = np.random.default_rng(zlib.crc32(repr((x_shape, k_shape)).encode()))
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        g = rng.standard_normal((nb, k_shape[0], h, w))
+        tape = ad.Tape()
+        xt = tape.param(x)
+        out = ad.conv2d(xt, tape.constant(k))
+        tape.backward((out * tape.constant(g)).sum())
+        assert np.array_equal(out.data, one_piece(x, k))
+        flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(xt.grad, one_piece(g, flipped))
+
     @pytest.mark.parametrize("size", [3, 1])
     @pytest.mark.parametrize("wrt", ["x", "k"])
     def test_gradients_match_central_differences(self, wrt, size):

@@ -175,6 +175,12 @@ class TestEvalFixedMask:
         with pytest.raises(DimensionError):
             ev.eval_fixed_mask(np.ones((3, 3)), self.dec, self.images)
 
+    @pytest.mark.parametrize("batch", [0, -1, 2.5])
+    def test_batch_not_a_positive_integer_rejected(self, batch):
+        # -1 used to skip the batch loop and report an error of 0.0
+        with pytest.raises(ParameterError):
+            ev.eval_fixed_mask(np.ones((4, 4)), self.dec, self.images, batch=batch)
+
     def test_zero_images_rejected(self):
         with pytest.raises(ParameterError, match="no images"):
             ev.eval_fixed_mask(np.ones((4, 4)), self.dec, np.zeros((0, 4, 4)))
