@@ -6,7 +6,9 @@ automatically a topological order.  ``backward`` walks the record once in
 reverse, accumulating each gradient into the ``grad`` slot of the tensor
 it belongs to; a tape runs ``backward`` once.  An operation on constants
 only records nothing, so a forward pass over constants keeps no tensor
-alive beyond its last use.
+alive beyond its last use.  A two-output op is two records made before
+any consumer, so the later one's rule runs first and finds the other's
+gradient final; ``samplers._hypernet_head`` is one, recomputing in backward.
 
 Design constraints: 64-bit floats everywhere, first-order gradients only,
 a scalar loss root, and single-threaded use of any one tape.  Parameters

@@ -60,8 +60,8 @@ def collapse_distribution(
     variants estimate each pixel's selection probability as the mean of
     the zero-temperature indicator over ``mc_samples`` draws.
     """
-    if mc_samples < 1:
-        raise ParameterError(f"mc_samples must be >= 1, got {mc_samples}")
+    if not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
+        raise ParameterError(f"mc_samples must be an integer >= 1, got {mc_samples!r}")
     for name, arr in params.arrays.items():
         if not np.isfinite(arr).all():
             raise ContractError(f"cannot collapse: parameter {name!r} is non-finite")

@@ -18,6 +18,8 @@ collapse probabilities) live in :mod:`masko.distributions`.  Parameters
 are a :class:`SamplerParams` holding plain float64 numpy arrays; a
 forward pass binds them to a tape and returns the soft and stretched
 masks plus the bound leaves so the training loop can read gradients.
+The hypernet's per-draw maps W_z (Ha, Dai & Le, 2016) are never stored:
+:func:`_hypernet_head` walks them in pixel blocks and recomputes them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .rng import STREAM_EVAL, STREAM_INIT, stream
 
 LEAKY_SLOPE = 0.2
-PRE_BLOCK = 64  # draws per hypernet_pre block: bounds the (n*n, d, block) product
+HEAD_MACS = 1 << 22  # multiply-adds per hypernet head block: 1 MiB of F_W at k=32, B=128
 
 
 @dataclass
@@ -113,34 +115,89 @@ def _constants(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
 
 def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
     """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B): the
-    training code on constants, over blocks of :data:`PRE_BLOCK` draws.
-
-    BLAS picks its GEMM kernel by column count, so a short last block can
-    round differently from the same draws inside a wider product.  When B
-    exceeds PRE_BLOCK and is not a multiple of it, the last bits therefore
-    depend on the block split; they are still reproducible for a given B.
-    """
+    training code on constants, over all draws at once; the head's pixel
+    blocks (:func:`_hypernet_head`) bound the memory."""
     tape = Tape()
-    leaves = _constants(tape, params)
-    blocks = (z[:, i : i + PRE_BLOCK] for i in range(0, z.shape[1], PRE_BLOCK))
-    return np.hstack([_hypernet_pre(params, leaves, tape.constant(zb))[0].data for zb in blocks])
+    return _hypernet_pre(_constants(tape, params), tape.constant(z))[0].data
 
 
-def _hypernet_pre(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+def _hypernet_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """W_z z + b_z for each draw column of zt (d, B), with W_z as the
-    (n*n, d, B) reshape of F_W's output; returns (pre, w_z, b_z)."""
-    nb = zt.shape[1]
+    (n*n, d, B) reshape of F_W's output; returns (pre, row norm of W_z, b_z)."""
     r = _affine2_cols(leaves, "rep", zt)  # (k, B)
-    w_z = _affine2_cols(leaves, "fw", r).reshape((p.n * p.n, p.d, nb))
+    h = _hidden(leaves, "fw", r)
+    wz_z, w_norm = _hypernet_head(leaves["fw.w2"], leaves["fw.b2"], h, zt.data)
     b_z = _affine2_cols(leaves, "fb", r)  # (n*n, B)
-    return (w_z * zt.reshape((1, p.d, nb))).sum(axis=1) + b_z, w_z, b_z
+    return wz_z + b_z, w_norm, b_z
+
+
+def _hypernet_head(w2: Tensor, b2: Tensor, h: Tensor, z: np.ndarray) -> tuple[Tensor, Tensor]:
+    """sum_d W_z[:, d] z[d] and |W_z| over d, each (n*n, B), for W_z the
+    (n*n, d, B) reshape of F = w2 @ h + b2 and constant draws z (d, B).
+
+    F is never stored: the forward makes it one pixel block at a time by
+    one GEMM and reduces the block in cache; the backward recomputes each
+    block, writes its rows of dF, dw2 and db2, and ends with one
+    ``w2.T @ dF`` (Chen et al., 2016).  Sums run in the order of the generic
+    chain (matmul, add, reshape, mul, sum, sqrt).  A short tail joins the
+    last block, keeping every GEMM above OpenBLAS's 1e6-multiply-add
+    small-matrix kernels, so block rows equal the whole product's (except
+    a block's last rows when B > 139 is not a multiple of 8).  The norm's
+    rule runs first and builds dF from both gradients.
+    """
+    d, nb = z.shape
+    m = w2.data.shape[0] // d
+    step = max(1, HEAD_MACS // (h.data.shape[0] * d * nb))  # pixels per block
+    cuts = [*range(0, m, step)][: max(1, m // step)] + [m]
+    blocks = [(slice(a, b), slice(a * d, b * d)) for a, b in zip(cuts, cuts[1:])]
+    size = (m - cuts[-2]) * d * nb  # the last block is the largest
+
+    def f_block(rows: slice, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # F rows, scratch
+        f = buf[0, : (rows.stop - rows.start) * nb].reshape((-1, nb))
+        np.matmul(w2.data[rows], h.data, out=f)
+        f += b2.data[rows, None]
+        return f.reshape((-1, d, nb)), buf[1, : f.size].reshape((-1, d, nb))
+
+    contr, norm, buf = np.empty((m, nb)), np.empty((m, nb)), np.empty((2, size))
+    for px, rows in blocks:
+        f, t = f_block(rows, buf)
+        np.multiply(f, z[None], out=t).sum(axis=1, out=contr[px])
+        np.multiply(f, f, out=t).sum(axis=1, out=norm[px])
+    np.sqrt(norm, out=norm)
+
+    def back(gc, gn, needs):
+        # dF = 2 * (g_sq * F) + gc * z, the sum the generic chain accumulates
+        df, buf = np.empty((m * d, nb)), np.empty((2, size))
+        dw2, db2 = np.empty_like(w2.data), np.empty_like(b2.data)
+        gsq = None if gn is None else gn * 0.5 / norm
+        for px, rows in blocks:
+            g = df[rows].reshape((-1, d, nb))
+            if gsq is None:
+                np.multiply(gc[px, None, :], z[None], out=g)
+            else:
+                f, t = f_block(rows, buf)
+                np.multiply(gsq[px, None, :], f, out=g)
+                g += g
+                if gc is not None:
+                    g += np.multiply(gc[px, None, :], z[None], out=t)
+            np.matmul(df[rows], h.data.T, out=dw2[rows])
+            df[rows].sum(axis=1, out=db2[rows])
+        return dw2 if needs[0] else None, db2 if needs[1] else None, w2.data.T @ df if needs[2] else None
+
+    tape, inputs = w2.tape, (w2, b2, h)
+    wz_z = tape.record(contr, inputs, lambda g, nd: back(g, None, nd) if w_norm.grad is None else (None,) * 3)
+    w_norm = tape.record(norm, inputs, lambda g, needs: back(wz_z.grad, g, needs))
+    return wz_z, w_norm
+
+
+def _hidden(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    b1 = leaves[f"{prefix}.b1"]
+    return ad.leaky_relu(ad.matmul(leaves[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1)), LEAKY_SLOPE)
 
 
 def _affine2_cols(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    b1, b2 = leaves[f"{prefix}.b1"], leaves[f"{prefix}.b2"]
-    h = ad.matmul(leaves[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1))
-    h = ad.leaky_relu(h, LEAKY_SLOPE)
-    return ad.matmul(leaves[f"{prefix}.w2"], h) + b2.reshape((b2.size, 1))
+    b2 = leaves[f"{prefix}.b2"]
+    return ad.matmul(leaves[f"{prefix}.w2"], _hidden(leaves, prefix, x)) + b2.reshape((b2.size, 1))
 
 
 def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) -> dict:
@@ -162,8 +219,8 @@ def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tu
 def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """Each column of the draw yields its own (W_z, b_z); conditioned on a
     fixed draw the mask is deterministic, and the law is per draw."""
-    pre, w_z, b_z = _hypernet_pre(p, leaves, zt)
-    return ad.sigmoid_temp(pre, p.lam), (b_z, ad.sqrt((w_z * w_z).sum(axis=1))), None
+    pre, w_norm, b_z = _hypernet_pre(leaves, zt)
+    return ad.sigmoid_temp(pre, p.lam), (b_z, w_norm), None
 
 
 def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:

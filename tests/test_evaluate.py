@@ -133,6 +133,13 @@ class TestCollapse:
         with pytest.raises(ParameterError, match="mc_samples"):
             ev.collapse_distribution(p, mc_samples=0)
 
+    @pytest.mark.parametrize("mc_samples", [0, 2.5])
+    @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
+    def test_mc_samples_not_a_positive_integer_rejected(self, kind, mc_samples):
+        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        with pytest.raises(ParameterError, match="mc_samples must be an integer"):
+            ev.collapse_distribution(p, mc_samples=mc_samples)
+
 
 class TestEvalFixedMask:
     def setup_method(self):

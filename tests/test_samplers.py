@@ -150,6 +150,75 @@ class TestHypernetForward:
         np.testing.assert_array_equal(pre, expect.T)
 
 
+def generic_head(w2, b2, h, z):
+    """Oracle: the generic op chain the hypernet head replaces, in one piece."""
+    d, nb = z.shape
+    w_z = (ad.matmul(w2, h) + b2.reshape((b2.size, 1))).reshape((w2.shape[0] // d, d, nb))
+    return (w_z * w2.tape.constant(z.reshape((1, d, nb)))).sum(axis=1), ad.sqrt((w_z * w_z).sum(axis=1))
+
+
+def head_inputs(m, d, k, nb, seed):
+    rng = np.random.default_rng(seed)
+    w2, b2 = rng.uniform(-0.3, 0.3, (m * d, k)), rng.uniform(-0.1, 0.1, m * d)
+    return w2, b2, rng.standard_normal((k, nb)), rng.standard_normal((d, nb)), rng.standard_normal((2, m, nb))
+
+
+def head_loss(head, reach, w2, b2, h, z, weights):
+    """sum(c * u) and/or sum(norm * v) over the head's two outputs."""
+    c, norm = head(w2, b2, h, z)
+    terms = {"contraction": (c * weights[0]).sum(), "norm": (norm * weights[1]).sum()}
+    loss = terms["contraction"] + terms["norm"] if reach == "both" else terms[reach]
+    return loss, c, norm
+
+
+class TestHypernetHead:
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    @pytest.mark.parametrize("reach", ["contraction", "norm", "both"])
+    def test_gradients_match_central_differences(self, wrt, reach):
+        args = list(head_inputs(5, 3, 4, 6, seed=wrt))
+        weights = args.pop()
+
+        def f(leaf):
+            ins = [leaf.tape.constant(a) for a in args[:3]]
+            ins[wrt] = leaf.reshape(args[wrt].shape)
+            return head_loss(sp._hypernet_head, reach, *ins, args[3], weights)[0]
+
+        assert ad.grad_check(f, args[wrt].reshape(-1)) < 1e-6
+
+    # 784 and 729 pixels are not a multiple of the 64- and 126-pixel blocks
+    @pytest.mark.parametrize("m,nb", [(784, 128), (729, 65)])
+    @pytest.mark.parametrize("reach", ["contraction", "norm", "both"])
+    def test_equals_generic_chain_bit_for_bit(self, m, nb, reach):
+        *arrays, z, weights = head_inputs(m, 16, 32, nb, seed=nb)
+        got = []
+        for head in (sp._hypernet_head, generic_head):
+            tape = ad.Tape()
+            leaves = [tape.param(a) for a in arrays]
+            loss, c, norm = head_loss(head, reach, *leaves, z, weights)
+            tape.backward(loss)
+            got.append([c.data, norm.data] + [leaf.grad for leaf in leaves])
+        for mine, oracle in zip(*got):
+            np.testing.assert_array_equal(mine, oracle)
+
+    @pytest.mark.parametrize("nb", [65, 130])
+    def test_pre_activation_is_one_piece(self, nb):
+        # all draws in one evaluation: no draw block size can move the bits
+        p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=nb)
+        z = np.random.default_rng(nb).standard_normal((16, nb))
+        tape = ad.Tape()
+        lv = {name: tape.constant(a) for name, a in p.arrays.items()}
+
+        def affine2(prefix, x):
+            b1, b2 = lv[f"{prefix}.b1"], lv[f"{prefix}.b2"]
+            hidden = ad.leaky_relu(ad.matmul(lv[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1)), sp.LEAKY_SLOPE)
+            return ad.matmul(lv[f"{prefix}.w2"], hidden) + b2.reshape((b2.size, 1))
+
+        r = affine2("rep", tape.constant(z))
+        w_z = affine2("fw", r).reshape((28 * 28, 16, nb))
+        expect = (w_z * tape.constant(z.reshape((1, 16, nb)))).sum(axis=1) + affine2("fb", r)
+        np.testing.assert_array_equal(sp.hypernet_pre(p, z), expect.data)
+
+
 class TestIndependentForward:
     def test_centered(self):
         # softplus(-30) ~ 0

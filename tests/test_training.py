@@ -1,6 +1,8 @@
 """Optimizer and training-loop tests on small synthetic batches."""
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +146,55 @@ class TestTrainStep:
         state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))
         with pytest.raises(ConfigError):
             tr.train_step(np.zeros((16, 0)), params, dec, state, cfg, stream(0, 1))
+
+
+def warm_step(sampler, decoder, n, batch, **kw):
+    """One train step already taken, and a callable that takes the next."""
+    cfg = tr.TrainConfig(n=n, sampler=sampler, decoder=decoder, batch_size=batch, epochs=1, seed=4, **kw)
+    params, dec = tr.init_run(cfg)
+    state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))
+    rng = stream(cfg.seed, STREAM_LATENT)
+    cols = np.ascontiguousarray(tiny_images(batch, n, seed=4).reshape(batch, n * n).T)
+    tr.train_step(cols, params, dec, state, cfg, rng)
+    return lambda: tr.train_step(cols, params, dec, state, cfg, rng)
+
+
+class TestStepFootprint:
+    def test_hypernet_step_keeps_no_per_draw_weights(self):
+        # F_W's (n*n*d, B) output is 12.8 MB here; the generic op chain kept
+        # several such arrays on the tape and peaked at 142 MiB
+        step = warm_step("hypernet", "mlp", 28, 128, latent_dim=16, rep_width=32)
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    # Dead tapes sit in reference cycles, so the number of GC-tracked objects
+    # a step leaves behind decides when the cyclic GC frees them, and with it
+    # the peak RSS.  The bounds are the counts measured at n=12, B=8.
+    @pytest.mark.parametrize(
+        "sampler,decoder,bound",
+        [
+            ("vanilla", "mlp", 299),
+            ("independent", "mlp", 289),
+            ("hypernet", "mlp", 445),
+            ("concrete", "conv_resnet", 413),
+        ],
+    )
+    def test_gc_tracked_allocations_per_step(self, sampler, decoder, bound):
+        step = warm_step(sampler, decoder, 12, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            step()
+            allocated = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert allocated <= bound
 
 
 class TestSparsityPressure:
