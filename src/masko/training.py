@@ -22,7 +22,7 @@ from .autodiff import Tape
 from .checkpoint import save_checkpoint
 from .data import write_csv
 from .distributions import StretchConfig
-from .errors import ConfigError, EvaluationError, FormatError
+from .errors import ConfigError, ContractError, EvaluationError, FormatError
 from .model import (
     DECODER_KINDS,
     Decoder,
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if self.n < 1:
+            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -110,6 +112,7 @@ class AdamState:
 
 
 ADAM_EPS = 1e-8
+ADAM_PANEL = 16384  # elements (128 KiB): a panel's g, m, v, p and 2 scratch rows stay in L2
 
 
 def adam_step(
@@ -118,23 +121,49 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> AdamState:
-    """Bias-corrected Adam update, in place on the parameter arrays."""
+    """Bias-corrected Adam update, in place on C-contiguous parameter arrays.
+
+    All gradients are checked (names, shapes, finiteness) before any update.
+    Each array is walked in ``ADAM_PANEL``-element flat panels in the order
+    of ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, bit for bit; each panel
+    just written is checked for finiteness.
+    """
+    if grads.keys() != arrays.keys():
+        raise ContractError(f"gradients for {sorted(grads)}, parameters {sorted(arrays)}")
     for name, g in grads.items():
+        if g.shape != arrays[name].shape:
+            raise ContractError(f"gradient for {name!r} has shape {g.shape}, not {arrays[name].shape}")
         if not np.isfinite(g).all():
             raise EvaluationError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
-    t = state.step
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    b1, b2, lr = cfg.beta1, cfg.beta2, cfg.lr
+    c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    row_a, row_b = np.empty((2, ADAM_PANEL))
     for name, arr in arrays.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        arr -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p = arr.reshape(-1, copy=False)
+        g = grads[name].reshape(-1)
+        m = state.m[name].reshape(-1, copy=False)
+        v = state.v[name].reshape(-1, copy=False)
+        for s in range(0, p.size, ADAM_PANEL):
+            e = s + ADAM_PANEL
+            gp, mp, vp, pp = g[s:e], m[s:e], v[s:e], p[s:e]
+            a, b = row_a[: pp.size], row_b[: pp.size]
+            mp *= b1
+            np.multiply(1.0 - b1, gp, out=a)
+            mp += a
+            vp *= b2
+            np.multiply(1.0 - b2, gp, out=a)
+            a *= gp
+            vp += a
+            np.divide(vp, c2, out=a)
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            np.divide(mp, c1, out=b)
+            b *= lr
+            b /= a
+            pp -= b
+            if not np.isfinite(pp).all():
+                raise EvaluationError(f"parameter {name!r} became non-finite")
     return state
 
 
@@ -168,9 +197,6 @@ def train_step(
     grads.update({f"d.{name}": leaf.grad for name, leaf in dec_leaves.items()})
     arrays = _named_arrays(params, dec)
     adam_step(arrays, grads, state, cfg)
-    for name, arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise EvaluationError(f"parameter {name!r} became non-finite")
     return breakdown
 
 

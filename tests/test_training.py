@@ -10,7 +10,7 @@ import pytest
 from masko import checkpoint as ck
 from masko import samplers as sp
 from masko import training as tr
-from masko.errors import ConfigError, EvaluationError
+from masko.errors import ConfigError, ContractError, EvaluationError
 from masko.rng import STREAM_LATENT, stream
 
 
@@ -44,6 +44,11 @@ class TestTrainConfig:
     def test_seed_must_fit_the_philox_key(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             tr.TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_image_side_must_be_positive(self, n):
+        with pytest.raises(ConfigError, match="n must be"):
+            tr.TrainConfig(n=n)
 
     def test_stretch_is_built_once_and_is_not_a_field(self):
         cfg = tr.TrainConfig(gamma=-0.2, eta=1.3, seed=2**64 - 1)
@@ -86,6 +91,131 @@ class TestAdam:
         st = tr.AdamState.for_arrays(theta)
         with pytest.raises(EvaluationError):
             tr.adam_step(theta, {"t": np.array([np.nan])}, st, cfg)
+
+    P = tr.ADAM_PANEL
+
+    @staticmethod
+    def oracle_step(p, g, m, v, t, cfg):
+        """The whole-array update the panel sweep must reproduce bit for bit."""
+        c1 = 1.0 - cfg.beta1**t
+        c2 = 1.0 - cfg.beta2**t
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + tr.ADAM_EPS)
+
+    def test_panel_sweep_equals_whole_array_formula(self):
+        cfg = tr.TrainConfig(lr=3e-3, beta1=0.8, beta2=0.95, epochs=1)
+        rng = np.random.default_rng(12)
+        shapes = {"long": (2 * self.P + 5,), "matrix": (300, 70), "one": (1,)}
+        theta = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: (a.copy(), np.zeros(a.shape), np.zeros(a.shape)) for k, a in theta.items()}
+        st = tr.AdamState.for_arrays(theta)
+        for t in range(1, 51):
+            # gradient magnitudes spread over eleven decades
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3, s) for k, s in shapes.items()}
+            tr.adam_step(theta, grads, st, cfg)
+            for k, (p, m, v) in ref.items():
+                self.oracle_step(p, grads[k], m, v, t, cfg)
+        assert st.step == 50
+        for k, (p, m, v) in ref.items():
+            assert np.array_equal(theta[k], p)
+            assert np.array_equal(st.m[k], m)
+            assert np.array_equal(st.v[k], v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, P - 1, P, 2 * P + 4])
+    def test_non_finite_gradient_at_panel_edges_updates_nothing(self, bad, where):
+        cfg = tr.TrainConfig(epochs=1)
+        rng = np.random.default_rng(13)
+        theta = {"a": rng.standard_normal(7), "b": rng.standard_normal(2 * self.P + 5)}
+        st = tr.AdamState.for_arrays(theta)
+        grads = {k: rng.standard_normal(a.shape) for k, a in theta.items()}
+        tr.adam_step(theta, grads, st, cfg)
+        before = {k: (a.copy(), st.m[k].copy(), st.v[k].copy()) for k, a in theta.items()}
+        grads["b"][where] = bad
+        with pytest.raises(EvaluationError, match="'b'"):
+            tr.adam_step(theta, grads, st, cfg)
+        assert st.step == 1
+        for k, (p, m, v) in before.items():
+            assert np.array_equal(theta[k], p)
+            assert np.array_equal(st.m[k], m)
+            assert np.array_equal(st.v[k], v)
+
+    def test_non_finite_parameter_is_named(self):
+        cfg = tr.TrainConfig(epochs=1)
+        theta = {"ok": np.ones(3), "blown": np.array([1.0, np.inf])}
+        st = tr.AdamState.for_arrays(theta)
+        with pytest.raises(EvaluationError, match="'blown' became non-finite"):
+            tr.adam_step(theta, {"ok": np.ones(3), "blown": np.ones(2)}, st, cfg)
+
+    @pytest.mark.parametrize(
+        "grads",
+        [
+            {"t": np.ones(1)},  # would broadcast into all three elements
+            {"t": np.ones((3, 1))},
+            {},
+            {"t": np.ones(3), "extra": np.ones(3)},
+            {"other": np.ones(3)},
+        ],
+    )
+    def test_mismatched_gradients_rejected_before_any_update(self, grads):
+        cfg = tr.TrainConfig(epochs=1)
+        theta = {"t": np.array([1.0, -2.0, 3.0])}
+        st = tr.AdamState.for_arrays(theta)
+        with pytest.raises(ContractError):
+            tr.adam_step(theta, grads, st, cfg)
+        np.testing.assert_array_equal(theta["t"], [1.0, -2.0, 3.0])
+        assert st.step == 0
+
+    def test_step_allocates_no_full_size_temporaries(self):
+        # vanilla-mlp at n=28: 481,568 parameters; the whole-array
+        # formula peaked at 4.59 MiB
+        cfg = tr.TrainConfig()
+        theta = tr._named_arrays(*tr.init_run(cfg))
+        st = tr.AdamState.for_arrays(theta)
+        rng = np.random.default_rng(14)
+        grads = {k: rng.standard_normal(a.shape) for k, a in theta.items()}
+        tr.adam_step(theta, grads, st, cfg)
+        tracemalloc.start()
+        try:
+            tr.adam_step(theta, grads, st, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
+    def test_gc_tracked_objects_do_not_grow_with_panels_or_arrays(self):
+        # Per-step GC-tracked counts decide when dead tapes are freed (see
+        # TestStepFootprint); at threshold 1 every second live tracked
+        # object starts a gen-0 collection.
+        cfg = tr.TrainConfig(epochs=1)
+
+        def collections(sizes):
+            theta = {f"a{i}": np.ones(s) for i, s in enumerate(sizes)}
+            grads = {k: np.full(a.shape, 0.5) for k, a in theta.items()}
+            st = tr.AdamState.for_arrays(theta)
+            starts = []
+
+            def count(phase, info):
+                if phase == "start" and info["generation"] == 0:
+                    starts.append(1)
+
+            gc.collect()
+            threshold = gc.get_threshold()
+            gc.callbacks.append(count)
+            gc.set_threshold(1)
+            try:
+                tr.adam_step(theta, grads, st, cfg)
+            finally:
+                gc.set_threshold(*threshold)
+                gc.callbacks.remove(count)
+            return len(starts)
+
+        one = collections([1])
+        assert collections([4 * self.P + 1]) == one
+        assert collections([2 * self.P + 5] * 12) == one
 
 
 class TestTrainStep:
