@@ -9,6 +9,9 @@ only records nothing, so a forward pass over constants keeps no tensor
 alive beyond its last use.  A two-output op is two records made before
 any consumer, so the later one's rule runs first and finds the other's
 gradient final; ``samplers._hypernet_head`` is one, recomputing in backward.
+``conv2d`` is a whole convolutional layer over channel-major (C, B, H, W)
+activations: its bias, leaky ReLU and skip add run in the epilogue of the
+correlation's column panels instead of as ops of their own.
 
 Design constraints: 64-bit floats everywhere, first-order gradients only,
 a scalar loss root, and single-threaded use of any one tape.  Parameters
@@ -391,22 +394,31 @@ def tensor_mean(x: Tensor) -> Tensor:
 
 
 def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad each channel of a (B, C, H, W) array into one row.
+    """Zero-pad each channel of a channel-major (C, B, H, W) array into one row.
 
     Returns a (C, B*(H+2p)*(W+2p) + 2p*(W+2p+1)) array: channel ``c`` of
     image ``b`` lies at ``b*(H+2p)*(W+2p) + (i+p)*(W+2p) + (j+p)``, and the
-    trailing zeros let every kernel offset read a full-length window.
+    trailing zeros let every kernel offset read a full-length window.  The
+    channel axis already leads, so the copy in needs no transpose.
     """
-    nb, c, h, w = x.shape
+    c, nb, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     rows = np.zeros((c, nb * hp * wp + 2 * pad * (wp + 1)))
     grid = rows[:, : nb * hp * wp].reshape(c, nb, hp, wp)
-    grid[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    grid[:, :, pad : pad + h, pad : pad + w] = x
     return rows
 
 
-def _correlate_rows(rows: np.ndarray, k: np.ndarray, nb: int, h: int, w: int) -> np.ndarray:
-    """Cross-correlate padded channel rows with ``k``; returns (B, C_out, H, W).
+def _correlate_rows(
+    rows: np.ndarray,
+    k: np.ndarray,
+    nb: int,
+    h: int,
+    w: int,
+    bias: np.ndarray | None = None,
+    slope: float | None = None,
+) -> np.ndarray:
+    """Cross-correlate padded channel rows with ``k``; returns (C_out, B, H, W).
 
     Each kernel offset (di, dj) is one product of its (C_out, C_in) tap
     with the rows shifted by ``di*(W+2p) + dj``, a view; the output of
@@ -420,6 +432,11 @@ def _correlate_rows(rows: np.ndarray, k: np.ndarray, nb: int, h: int, w: int) ->
     (1, panel) row, not a GEMM with inner dimension 1.  Either way each
     output element sums the same products in the same offset order as one
     full-width GEMM per offset.
+
+    The epilogue runs on the panel while it is still in cache: the
+    (C_out, 1) ``bias`` column is added, then the leaky ReLU of ``slope``
+    (0 < slope < 1) is ``max(v, slope*v)``, which equals
+    ``where(v > 0, v, slope*v)`` bit for bit.
     """
     co, ci, kh, kw = k.shape
     pad = kh // 2
@@ -437,24 +454,47 @@ def _correlate_rows(rows: np.ndarray, k: np.ndarray, nb: int, h: int, w: int) ->
         for s, kk in taps[1:]:
             product(kk, rows[:, s + a : s + b], out=term)
             panel += term
+        if bias is not None:
+            panel += bias
+        if slope is not None:
+            np.multiply(panel, slope, out=term)
+            np.maximum(panel, term, out=panel)
     del scratch, term  # free before the output copy: lowers the peak
-    grid = acc.reshape(co, nb, hp, wp)[:, :, :h, :w]
-    return np.ascontiguousarray(grid.transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(acc.reshape(co, nb, hp, wp)[:, :, :h, :w])
 
 
-def conv2d(x: Tensor, k: Tensor) -> Tensor:
-    """2-D cross-correlation with zero padding preserving H x W.
+def conv2d(
+    x: Tensor,
+    k: Tensor,
+    bias: Tensor | None = None,
+    *,
+    slope: float | None = None,
+    skip: Tensor | None = None,
+) -> Tensor:
+    """One convolutional layer: ``skip + leaky(conv(x, k) + bias)``.
 
-    ``x`` is (B, C_in, H, W); ``k`` is (C_out, C_in, kh, kw) with odd
-    square spatial size.  Each input channel is zero-padded once into one
-    row (:func:`_pad_rows`), and every kernel offset is then one product
-    on a shifted view of those rows, taken panel by panel so that the
+    Activations are channel-major: ``x`` is (C_in, B, H, W) and the
+    result (C_out, B, H, W).  ``k`` is (C_out, C_in, kh, kw) with odd
+    square spatial size, and the 2-D cross-correlation is zero-padded to
+    keep H x W.  ``bias`` is a (C_out,) tensor, ``slope`` the leaky ReLU's
+    negative slope in (0, 1), and ``skip`` a tensor shaped like the result;
+    each is optional, and ``slope`` and ``skip`` do not combine.
+
+    Each input channel is zero-padded once into one row
+    (:func:`_pad_rows`), and every kernel offset is then one product on a
+    shifted view of those rows, taken panel by panel so that the
     accumulation stays in cache (:func:`_correlate_rows`; a broadcast
-    multiply when C_in = 1, as in a 1-channel input layer).  The input
-    gradient is the same correlation of the output gradient with the kernel
-    flipped and its channels swapped, so a 1-channel output layer's input
-    gradient takes the broadcast path too; the kernel gradient is one GEMM
-    per offset of the padded output gradient against the saved rows.
+    multiply when C_in = 1, as in a 1-channel input layer).  The bias and
+    the leaky ReLU are applied to each panel before it leaves the cache,
+    and the skip is added in place into the compacted output.  The backward
+    rebuilds the leaky mask as ``out > 0``, which is exact because no skip
+    is added after a leaky ReLU.  The input gradient is the same
+    correlation of the output gradient with the kernel flipped and its
+    channels swapped, so a 1-channel output layer's input gradient takes
+    the broadcast path too; the kernel gradient is one GEMM per offset of
+    the padded output gradient against the saved rows.  The bias gradient
+    sums over batch, rows and columns in that order, as summing the
+    gradient of a broadcast (1, C, 1, 1) bias over (B, C, H, W) does.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
@@ -463,14 +503,28 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
         raise DimensionError(f"kernel spatial size must be odd square, got {kh}x{kw}")
     if x.data.ndim != 4:
         raise DimensionError(f"input must be 4-D, got {x.shape}")
-    nb, c, h, w = x.data.shape
+    c, nb, h, w = x.data.shape
     if c != ci:
         raise DimensionError(f"input has {c} channels, kernel expects {ci}")
+    if bias is not None and bias.data.shape != (co,):
+        raise DimensionError(f"bias must be ({co},), got {bias.shape}")
+    if slope is not None:
+        if skip is not None:
+            raise ContractError("conv2d takes a slope or a skip, not both")
+        if not 0.0 < slope < 1.0:
+            raise ParameterError(f"leaky slope must lie in (0, 1), got {slope}")
+    if skip is not None and skip.data.shape != (co, nb, h, w):
+        raise DimensionError(f"skip must be {(co, nb, h, w)}, got {skip.shape}")
     pad = kh // 2
     rows = _pad_rows(x.data, pad)
-    out = _correlate_rows(rows, k.data, nb, h, w)
+    out = _correlate_rows(rows, k.data, nb, h, w, None if bias is None else bias.data[:, None], slope)
+    if skip is not None:
+        out += skip.data
+    inputs = (x, k) + tuple(t for t in (bias, skip) if t is not None)
 
     def back(g, needs):
+        if slope is not None:
+            g = np.where(out > 0.0, g, slope * g)
         grows = _pad_rows(g, pad)
         gx = None
         gk = None
@@ -478,7 +532,7 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
             flipped = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gx = _correlate_rows(grows, flipped, nb, h, w)
         if needs[1]:
-            # Shifted by (p, p), the padded gradient puts g[b, :, i, j] at
+            # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at
             # the top-left corner of window (i, j) and zeros everywhere else.
             wp = w + 2 * pad
             n = nb * (h + 2 * pad) * wp
@@ -488,9 +542,14 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
                 for dj in range(kw):
                     s = di * wp + dj
                     gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
-        return (gx, gk)
+        grads = [gx, gk]
+        if bias is not None:
+            grads.append(g.sum(axis=1).sum(axis=1).sum(axis=1) if needs[2] else None)
+        if skip is not None:
+            grads.append(g if needs[-1] else None)
+        return grads
 
-    return x.tape.record(out, (x, k), back)
+    return x.tape.record(out, inputs, back)
 
 
 def grad_check(

@@ -68,19 +68,14 @@ def _mlp_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tens
 
 
 def _conv_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
-    nb = x_obs.data.shape[1]
-    n, f = dec.n, dec.width
-    img = ad.transpose(x_obs).reshape((nb, 1, n, n))
-
-    def conv_bias(x, kname, bname, channels):
-        return ad.conv2d(x, leaves[kname]) + leaves[bname].reshape((1, channels, 1, 1))
-
-    c = ad.leaky_relu(conv_bias(img, "k_in", "b_in", f), LEAKY_SLOPE)
+    # Activations stay channel-major, (C, B, n, n), between the two ends.
+    nb, n = x_obs.data.shape[1], dec.n
+    img = ad.transpose(x_obs).reshape((1, nb, n, n))
+    c = ad.conv2d(img, leaves["k_in"], leaves["b_in"], slope=LEAKY_SLOPE)
     for blk in ("1", "2"):
-        t = ad.leaky_relu(conv_bias(c, f"k{blk}a", f"b{blk}a", f), LEAKY_SLOPE)
-        t = conv_bias(t, f"k{blk}b", f"b{blk}b", f)
-        c = c + t
-    out = conv_bias(c, "k_out", "b_out", 1)
+        t = ad.conv2d(c, leaves[f"k{blk}a"], leaves[f"b{blk}a"], slope=LEAKY_SLOPE)
+        c = ad.conv2d(t, leaves[f"k{blk}b"], leaves[f"b{blk}b"], skip=c)
+    out = ad.conv2d(c, leaves["k_out"], leaves["b_out"])
     return ad.transpose(out.reshape((nb, n * n)))
 
 

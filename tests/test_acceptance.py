@@ -53,7 +53,8 @@ PRIMITIVES = [
     ("mean", lambda t: (t * t).mean(), (-2, 2), 6),
     ("sum_axis", lambda t: (t.reshape((2, 3)).sum(axis=1) * 3.0).sum(), (-2, 2), 6),
     ("conv2d", lambda t: ad.conv2d(
-        t.tape.constant(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4)), t.reshape((1, 2, 3, 3))
+        t.tape.constant(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4).transpose(1, 0, 2, 3)),
+        t.reshape((1, 2, 3, 3)),
     ).sum(), (-1, 1), 18),
 ]
 

@@ -47,6 +47,21 @@ def conv2d_loops(x, k, pad):
     return out
 
 
+def cm(a):
+    """Swap the two leading axes: (B, C, H, W) <-> channel-major (C, B, H, W)."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+def generic_layer(x, k, bias, slope=None, skip=None):
+    """The generic op chain a fused conv2d layer replaces: conv2d, + bias, leaky_relu / + skip."""
+    out = ad.conv2d(x, k) + bias.reshape((bias.shape[0], 1, 1, 1))
+    if slope is not None:
+        out = ad.leaky_relu(out, slope)
+    if skip is not None:
+        out = skip + out
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         tape = ad.Tape()
@@ -165,8 +180,8 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(k))
-        np.testing.assert_allclose(out.data, conv2d_loops(x, k, 1), atol=1e-12)
+        out = ad.conv2d(tape.constant(cm(x)), tape.constant(k))
+        np.testing.assert_allclose(cm(out.data), conv2d_loops(x, k, 1), atol=1e-12)
 
     @pytest.mark.parametrize(
         "x_shape,k_shape",
@@ -187,8 +202,8 @@ class TestConv2d:
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal(k_shape)
         tape = ad.Tape()
-        out = ad.conv2d(tape.constant(x), tape.constant(k))
-        np.testing.assert_allclose(out.data, conv2d_loops(x, k, k_shape[2] // 2), atol=1e-12)
+        out = ad.conv2d(tape.constant(cm(x)), tape.constant(k))
+        np.testing.assert_allclose(cm(out.data), conv2d_loops(x, k, k_shape[2] // 2), atol=1e-12)
 
     @pytest.mark.parametrize(
         "x_shape,k_shape",
@@ -205,7 +220,7 @@ class TestConv2d:
         assert nb * (h + 2) * (w + 2) > ad.PANEL and nb * (h + 2) * (w + 2) % ad.PANEL != 0
 
         def one_piece(x, k):
-            rows = ad._pad_rows(x, 1)
+            rows = ad._pad_rows(cm(x), 1)
             wp, n = w + 2, nb * (h + 2) * (w + 2)
             taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(3) for dj in range(3)]
             acc = taps[0][1] @ rows[:, taps[0][0] : taps[0][0] + n]
@@ -219,20 +234,20 @@ class TestConv2d:
         k = rng.standard_normal(k_shape)
         g = rng.standard_normal((nb, k_shape[0], h, w))
         tape = ad.Tape()
-        xt = tape.param(x)
+        xt = tape.param(cm(x))
         out = ad.conv2d(xt, tape.constant(k))
-        tape.backward((out * tape.constant(g)).sum())
-        assert np.array_equal(out.data, one_piece(x, k))
+        tape.backward((out * tape.constant(cm(g))).sum())
+        assert np.array_equal(cm(out.data), one_piece(x, k))
         flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        assert np.array_equal(xt.grad, one_piece(g, flipped))
+        assert np.array_equal(cm(xt.grad), one_piece(g, flipped))
 
     @pytest.mark.parametrize("size", [3, 1])
     @pytest.mark.parametrize("wrt", ["x", "k"])
     def test_gradients_match_central_differences(self, wrt, size):
         rng = np.random.default_rng(size)
-        x = rng.standard_normal((2, 2, 4, 5))
+        x = cm(rng.standard_normal((2, 2, 4, 5)))
         k = rng.standard_normal((3, 2, size, size))
-        weights = rng.standard_normal((2, 3, 4, 5))
+        weights = cm(rng.standard_normal((2, 3, 4, 5)))
 
         def f(t):
             tape = t.tape
@@ -246,7 +261,7 @@ class TestConv2d:
         # A 3x3 im2col matrix alone is 9 x.nbytes; the padded-row GEMMs
         # peak at about 6.6 x.nbytes here.
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((64, 16, 28, 28))
+        x = cm(rng.standard_normal((64, 16, 28, 28)))
         k = rng.standard_normal((16, 16, 3, 3))
         tracemalloc.start()
         try:
@@ -262,12 +277,111 @@ class TestConv2d:
     def test_channel_mismatch(self):
         tape = ad.Tape()
         with pytest.raises(DimensionError):
-            ad.conv2d(tape.constant(np.zeros((1, 2, 4, 4))), tape.constant(np.zeros((1, 3, 3, 3))))
+            ad.conv2d(tape.constant(np.zeros((2, 1, 4, 4))), tape.constant(np.zeros((1, 3, 3, 3))))
 
     def test_unbatched_input_rejected(self):
         tape = ad.Tape()
         with pytest.raises(DimensionError):
             ad.conv2d(tape.constant(np.zeros((1, 4, 4))), tape.constant(np.zeros((1, 1, 3, 3))))
+
+
+class TestConv2dLayer:
+    """conv2d with its epilogue: ``skip + leaky(conv(x, k) + bias)`` as one op."""
+
+    @pytest.mark.parametrize(
+        "x_shape,k_shape,epilogue",
+        [
+            ((16, 5, 28, 28), (16, 16, 3, 3), "slope"),  # residual block, first conv
+            ((16, 5, 28, 28), (16, 16, 3, 3), "skip"),  # residual block, second conv
+            ((16, 5, 28, 28), (16, 16, 3, 3), "neither"),
+            ((1, 16, 28, 28), (16, 1, 3, 3), "slope"),  # decoder input conv
+            ((16, 5, 28, 28), (1, 16, 3, 3), "neither"),  # decoder output conv
+        ],
+    )
+    def test_equals_generic_chain_bit_for_bit(self, x_shape, k_shape, epilogue):
+        # Several panels ending in a short one, so every panel's epilogue runs.
+        _, nb, h, w = x_shape
+        assert nb * (h + 2) * (w + 2) > ad.PANEL and nb * (h + 2) * (w + 2) % ad.PANEL != 0
+        rng = np.random.default_rng(zlib.crc32(repr((x_shape, k_shape, epilogue)).encode()))
+        co = k_shape[0]
+        arrays = {
+            "x": rng.standard_normal(x_shape),
+            "k": rng.standard_normal(k_shape),
+            "bias": rng.standard_normal(co),
+            "skip": rng.standard_normal((co, nb, h, w)),
+        }
+        g = rng.standard_normal((co, nb, h, w))
+        slope = 0.2 if epilogue == "slope" else None
+
+        def run(layer):
+            tape = ad.Tape()
+            t = {name: tape.param(a) for name, a in arrays.items()}
+            skip = t["skip"] if epilogue == "skip" else None
+            out = layer(t["x"], t["k"], t["bias"], slope=slope, skip=skip)
+            tape.backward((out * tape.constant(g)).sum())
+            return out.data, {name: leaf.grad for name, leaf in t.items()}
+
+        fused, fused_grads = run(ad.conv2d)
+        chain, chain_grads = run(generic_layer)
+        assert np.array_equal(fused, chain)
+        for name in arrays:
+            assert np.array_equal(fused_grads[name], chain_grads[name]), name
+
+    @pytest.mark.parametrize(
+        "epilogue,wrt",
+        [("slope", "x"), ("slope", "k"), ("slope", "bias"),
+         ("skip", "x"), ("skip", "k"), ("skip", "bias"), ("skip", "skip")],
+    )
+    def test_gradients_match_central_differences(self, epilogue, wrt):
+        rng = np.random.default_rng(zlib.crc32(f"{epilogue}/{wrt}".encode()))
+        arrays = {
+            "x": rng.standard_normal((2, 2, 4, 5)),
+            "k": rng.standard_normal((3, 2, 3, 3)),
+            "bias": rng.standard_normal(3),
+            "skip": rng.standard_normal((3, 2, 4, 5)),
+        }
+        weights = rng.standard_normal((3, 2, 4, 5))
+
+        def f(t):
+            tape = t.tape
+            b = {name: t.reshape(a.shape) if name == wrt else tape.constant(a) for name, a in arrays.items()}
+            if epilogue == "slope":
+                out = ad.conv2d(b["x"], b["k"], b["bias"], slope=0.2)
+            else:
+                out = ad.conv2d(b["x"], b["k"], b["bias"], skip=b["skip"])
+            return (out * tape.constant(weights)).sum()
+
+        assert ad.grad_check(f, arrays[wrt], step=1e-5) < 1e-4
+
+    def layer_args(self, tape, co=3, bias_shape=None, skip_shape=None):
+        x = tape.constant(np.zeros((2, 1, 4, 4)))
+        k = tape.constant(np.zeros((co, 2, 3, 3)))
+        bias = tape.constant(np.zeros(bias_shape or (co,)))
+        skip = tape.constant(np.zeros(skip_shape or (co, 1, 4, 4)))
+        return x, k, bias, skip
+
+    def test_slope_with_skip_rejected(self):
+        x, k, bias, skip = self.layer_args(ad.Tape())
+        with pytest.raises(ContractError):
+            ad.conv2d(x, k, bias, slope=0.2, skip=skip)
+
+    @pytest.mark.parametrize("bias_shape", [(2,), (4,), (3, 1), (1, 3, 1, 1)])
+    def test_bias_not_one_per_output_channel_rejected(self, bias_shape):
+        x, k, bias, _ = self.layer_args(ad.Tape(), bias_shape=bias_shape)
+        with pytest.raises(DimensionError):
+            ad.conv2d(x, k, bias)
+
+    @pytest.mark.parametrize("skip_shape", [(3, 1, 4, 5), (1, 3, 4, 4), (3, 2, 4, 4), (3, 16)])
+    def test_skip_shaped_unlike_output_rejected(self, skip_shape):
+        x, k, bias, skip = self.layer_args(ad.Tape(), skip_shape=skip_shape)
+        with pytest.raises(DimensionError):
+            ad.conv2d(x, k, bias, skip=skip)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_slope_outside_open_unit_interval_rejected(self, slope):
+        x, k, bias, _ = self.layer_args(ad.Tape())
+        with pytest.raises(ParameterError):
+            ad.conv2d(x, k, bias, slope=slope)
 
 
 class TestBackward:
@@ -378,7 +492,7 @@ class TestGradCheck:
             ("mean", lambda t: (t * t).mean(), (-2, 2)),
             ("sum_axis", lambda t: (t.reshape((2, 3)).sum(axis=1) * 3.0).sum(), (-2, 2)),
             ("conv", lambda t: ad.conv2d(
-                t.tape.constant(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4)),
+                t.tape.constant(cm(np.linspace(-1, 1, 32).reshape(1, 2, 4, 4))),
                 t.reshape((1, 2, 3, 3)),
             ).sum(), (-1, 1)),
             ("reshape", lambda t: (t.reshape((3, 2)) * 1.5).sum(), (-2, 2)),

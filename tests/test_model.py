@@ -61,9 +61,9 @@ class TestDecoderForward:
         # reference: only input conv + leaky + output conv
         a = dec.arrays
         tape = ad.Tape()
-        img = ad.transpose(tape.constant(x)).reshape((2, 1, 5, 5))
+        img = ad.transpose(tape.constant(x)).reshape((1, 2, 5, 5))  # channel-major (C, B, H, W)
         c = ad.leaky_relu(
-            ad.conv2d(img, tape.constant(a["k_in"])) + tape.constant(a["b_in"].reshape(1, 4, 1, 1)),
+            ad.conv2d(img, tape.constant(a["k_in"])) + tape.constant(a["b_in"].reshape(4, 1, 1, 1)),
             0.2,
         )
         ref = ad.conv2d(c, tape.constant(a["k_out"])) + tape.constant(a["b_out"].reshape(1, 1, 1, 1))
