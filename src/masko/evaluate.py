@@ -58,10 +58,13 @@ def collapse_distribution(
 
     Factored samplers collapse analytically; the hypernet and concrete
     variants estimate each pixel's selection probability as the mean of
-    the zero-temperature indicator over ``mc_samples`` draws.
+    the zero-temperature indicator over ``mc_samples`` draws from the
+    evaluation stream of ``seed``, an integer in [0, 2**64).
     """
     if not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
         raise ParameterError(f"mc_samples must be an integer >= 1, got {mc_samples!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for name, arr in params.arrays.items():
         if not np.isfinite(arr).all():
             raise ContractError(f"cannot collapse: parameter {name!r} is non-finite")

@@ -19,7 +19,9 @@ are a :class:`SamplerParams` holding plain float64 numpy arrays; a
 forward pass binds them to a tape and returns the soft and stretched
 masks plus the bound leaves so the training loop can read gradients.
 The hypernet's per-draw maps W_z (Ha, Dai & Le, 2016) are never stored:
-:func:`_hypernet_head` walks them in pixel blocks and recomputes them.
+:func:`_hypernet_head` applies them to the draw as one GEMM over the
+Khatri-Rao product of draw and hidden layer, and walks them in pixel
+blocks only where their row norm and the backward need them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .rng import STREAM_EVAL, STREAM_INIT, stream
 
 LEAKY_SLOPE = 0.2
-HEAD_MACS = 1 << 22  # multiply-adds per hypernet head block: 1 MiB of F_W at k=32, B=128
+HEAD_MACS = 1 << 22  # multiply-adds per F_W block (norm and backward only): 1 MiB at k=32, B=128
 
 
 @dataclass
@@ -115,39 +117,50 @@ def _constants(tape: Tape, params: SamplerParams) -> dict[str, Tensor]:
 
 def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
     """Hypernet pre-sigmoid values, (n*n, B), for draws z (d, B): the
-    training code on constants, over all draws at once; the head's pixel
-    blocks (:func:`_hypernet_head`) bound the memory."""
+    training code on constants, over all draws at once.  Only the head's
+    contraction runs (:func:`_hypernet_head` with ``norm=False``), so no
+    block of F_W's (n*n*d, B) output is ever built."""
     tape = Tape()
-    return _hypernet_pre(_constants(tape, params), tape.constant(z))[0].data
+    return _hypernet_pre(_constants(tape, params), tape.constant(z), norm=False)[0].data
 
 
-def _hypernet_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+def _hypernet_pre(leaves: dict[str, Tensor], zt: Tensor, norm: bool = True) -> tuple:
     """W_z z + b_z for each draw column of zt (d, B), with W_z as the
-    (n*n, d, B) reshape of F_W's output; returns (pre, row norm of W_z, b_z)."""
+    (n*n, d, B) reshape of F_W's output; returns (pre, row norm of W_z or
+    None when ``norm`` is False, b_z)."""
     r = _affine2_cols(leaves, "rep", zt)  # (k, B)
     h = _hidden(leaves, "fw", r)
-    wz_z, w_norm = _hypernet_head(leaves["fw.w2"], leaves["fw.b2"], h, zt.data)
+    wz_z, w_norm = _hypernet_head(leaves["fw.w2"], leaves["fw.b2"], h, zt.data, norm)
     b_z = _affine2_cols(leaves, "fb", r)  # (n*n, B)
     return wz_z + b_z, w_norm, b_z
 
 
-def _hypernet_head(w2: Tensor, b2: Tensor, h: Tensor, z: np.ndarray) -> tuple[Tensor, Tensor]:
+def _hypernet_head(
+    w2: Tensor, b2: Tensor, h: Tensor, z: np.ndarray, norm: bool = True
+) -> tuple[Tensor, Tensor | None]:
     """sum_d W_z[:, d] z[d] and |W_z| over d, each (n*n, B), for W_z the
-    (n*n, d, B) reshape of F = w2 @ h + b2 and constant draws z (d, B).
+    (n*n, d, B) reshape of F = w2 @ h + b2 and constant draws z (d, B);
+    the norm is None when ``norm`` is False.
 
-    F is never stored: the forward makes it one pixel block at a time by
-    one GEMM and reduces the block in cache; the backward recomputes each
-    block, writes its rows of dF, dw2 and db2, and ends with one
-    ``w2.T @ dF`` (Chen et al., 2016).  Sums run in the order of the generic
-    chain (matmul, add, reshape, mul, sum, sqrt).  A short tail joins the
-    last block, keeping every GEMM above OpenBLAS's 1e6-multiply-add
-    small-matrix kernels, so block rows equal the whole product's (except
-    a block's last rows when B > 139 is not a multiple of 8).  The norm's
-    rule runs first and builds dF from both gradients.
+    The contraction is bilinear in z and h, so it is one GEMM against
+    their column-wise Khatri-Rao product (Kolda & Bader, 2009):
+    ``w2.reshape(n*n, d*k) @ (z[:, None] * h[None]).reshape(d*k, B)`` plus
+    ``b2.reshape(n*n, d) @ z``, on views of w2 and b2.  F itself is never
+    stored: the norm's forward makes it one pixel block at a time by one
+    GEMM and reduces the block in cache; the backward recomputes each
+    block, writes its rows of dF = 2 * (g_sq * F) + g_c * z, dw2 and db2,
+    and ends with one ``w2.T @ dF`` (Chen et al., 2016).  The norm sums in
+    the order of the generic chain (matmul, add, reshape, mul, sum, sqrt).
+    A short tail joins the last block, keeping every GEMM above OpenBLAS's
+    1e6-multiply-add small-matrix kernels, so block rows equal the whole
+    product's (except a block's last rows when B > 139 is not a multiple
+    of 8).  The norm's rule runs first and builds dF from both gradients.
     """
     d, nb = z.shape
-    m = w2.data.shape[0] // d
-    step = max(1, HEAD_MACS // (h.data.shape[0] * d * nb))  # pixels per block
+    m, k = w2.data.shape[0] // d, h.data.shape[0]
+    contr = w2.data.reshape((m, d * k)) @ (z[:, None, :] * h.data[None, :, :]).reshape((d * k, nb))
+    contr += b2.data.reshape((m, d)) @ z
+    step = max(1, HEAD_MACS // (k * d * nb))  # pixels per block
     cuts = [*range(0, m, step)][: max(1, m // step)] + [m]
     blocks = [(slice(a, b), slice(a * d, b * d)) for a, b in zip(cuts, cuts[1:])]
     size = (m - cuts[-2]) * d * nb  # the last block is the largest
@@ -158,18 +171,19 @@ def _hypernet_head(w2: Tensor, b2: Tensor, h: Tensor, z: np.ndarray) -> tuple[Te
         f += b2.data[rows, None]
         return f.reshape((-1, d, nb)), buf[1, : f.size].reshape((-1, d, nb))
 
-    contr, norm, buf = np.empty((m, nb)), np.empty((m, nb)), np.empty((2, size))
-    for px, rows in blocks:
-        f, t = f_block(rows, buf)
-        np.multiply(f, z[None], out=t).sum(axis=1, out=contr[px])
-        np.multiply(f, f, out=t).sum(axis=1, out=norm[px])
-    np.sqrt(norm, out=norm)
+    w_norm = None
+    if norm:
+        sq, buf = np.empty((m, nb)), np.empty((2, size))
+        for px, rows in blocks:
+            f, t = f_block(rows, buf)
+            np.multiply(f, f, out=t).sum(axis=1, out=sq[px])
+        np.sqrt(sq, out=sq)
 
     def back(gc, gn, needs):
         # dF = 2 * (g_sq * F) + gc * z, the sum the generic chain accumulates
         df, buf = np.empty((m * d, nb)), np.empty((2, size))
         dw2, db2 = np.empty_like(w2.data), np.empty_like(b2.data)
-        gsq = None if gn is None else gn * 0.5 / norm
+        gsq = None if gn is None else gn * 0.5 / sq
         for px, rows in blocks:
             g = df[rows].reshape((-1, d, nb))
             if gsq is None:
@@ -184,9 +198,13 @@ def _hypernet_head(w2: Tensor, b2: Tensor, h: Tensor, z: np.ndarray) -> tuple[Te
             df[rows].sum(axis=1, out=db2[rows])
         return dw2 if needs[0] else None, db2 if needs[1] else None, w2.data.T @ df if needs[2] else None
 
+    def back_contraction(g, needs):  # a reached norm's rule already covered both gradients
+        return back(g, None, needs) if w_norm is None or w_norm.grad is None else (None,) * 3
+
     tape, inputs = w2.tape, (w2, b2, h)
-    wz_z = tape.record(contr, inputs, lambda g, nd: back(g, None, nd) if w_norm.grad is None else (None,) * 3)
-    w_norm = tape.record(norm, inputs, lambda g, needs: back(wz_z.grad, g, needs))
+    wz_z = tape.record(contr, inputs, back_contraction)
+    if norm:
+        w_norm = tape.record(sq, inputs, lambda g, needs: back(wz_z.grad, g, needs))
     return wz_z, w_norm
 
 

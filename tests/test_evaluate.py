@@ -97,7 +97,10 @@ class TestCollapse:
         assert np.abs(c.probs.reshape(-1) - emp).max() < 0.03
 
     def test_hypernet_monte_carlo_runs_in_blocks(self):
-        # 1,024 draws at once would hold a 197 MiB (n*n, d, draws) product
+        # W_z as one (n*n, d, draws) array would take 98 MiB at 1,024 draws;
+        # the collapse contracts a (d*k, draws) Khatri-Rao product instead and
+        # builds no block of W_z: 19.1 MiB peak, against 25.2 MiB for a
+        # collapse that walks W_z in pixel blocks
         p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=6)
         tracemalloc.start()
         try:
@@ -105,7 +108,7 @@ class TestCollapse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 22 * 2**20
 
     def test_factored_analytic_vs_monte_carlo_frequency(self):
         rng = np.random.default_rng(4)
@@ -139,6 +142,18 @@ class TestCollapse:
         p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
         with pytest.raises(ParameterError, match="mc_samples must be an integer"):
             ev.collapse_distribution(p, mc_samples=mc_samples)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, np.float64(2.0)])
+    @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
+    def test_seed_outside_the_stream_range_rejected(self, kind, seed):
+        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            ev.collapse_distribution(p, mc_samples=4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_range_ends_accepted(self, seed):
+        p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)
+        assert ev.collapse_distribution(p, mc_samples=4, seed=seed).probs.shape == (4, 4)
 
 
 class TestEvalFixedMask:

@@ -32,11 +32,11 @@ GOLDEN = {
         "25c10731fb99715ae6c4211802d614800557452ef0dae09fd0b40cf7ddaf0b21",
     ),
     ("hypernet", "mlp"): (
-        "bec2fc33c60982ff4d71cf297eecd1b695d1373a3a94d0c07ceccf4957da3e54",
+        "a46d74d66b36a18da16bd8187e9efb2cb020f8cbcbaaeeec5dfd71475c769362",
         "94b5d2eeeae34e4db7b079079f752b75702fc029a5364cf09b8c2b2d2170a5c6",
     ),
     ("hypernet", "conv_resnet"): (
-        "f8bc4faaa22271dd44e2c75eaee3661def0ef27ad2b476b7c11d5e28ce50844c",
+        "ffb0eab7ee68f1d509fe79daf1c9970a77dbba351c1245174e7d5eaad6b0a0c2",
         "1ec9ce3079a9a7ef24db87d915c3ffcf303cf1f0b539a435caf43adf3c9bdd3d",
     ),
     ("independent", "mlp"): (

@@ -137,24 +137,37 @@ class TestHypernetForward:
         z = np.random.default_rng(11).standard_normal((d, nb))
         a = p.arrays
 
-        def affine2(prefix, x):
+        def hidden(prefix, x):
             h = a[f"{prefix}.w1"] @ x + a[f"{prefix}.b1"][:, None]
-            h = np.where(h > 0, h, 0.2 * h)
-            return a[f"{prefix}.w2"] @ h + a[f"{prefix}.b2"][:, None]
+            return np.where(h > 0, h, 0.2 * h)
+
+        def affine2(prefix, x):
+            return a[f"{prefix}.w2"] @ hidden(prefix, x) + a[f"{prefix}.b2"][:, None]
 
         r = affine2("rep", z)
-        w_z = affine2("fw", r).T.reshape(nb, n * n, d)  # (B, n*n, d)
-        expect = np.einsum("bmd,db->bm", w_z, z) + affine2("fb", r).T
+        # sum_d W_z[:, d] z[d] in one piece: one GEMM over the Khatri-Rao product of z and F_W's hidden layer
+        kr = (z[:, None, :] * hidden("fw", r)[None, :, :]).reshape((d * k, nb))
+        wz_z = a["fw.w2"].reshape((n * n, d * k)) @ kr + a["fw.b2"].reshape((n * n, d)) @ z
         pre = sp.hypernet_pre(p, z)
         assert pre.shape == (n * n, nb)
-        np.testing.assert_array_equal(pre, expect.T)
+        np.testing.assert_array_equal(pre, wz_z + affine2("fb", r))
 
 
 def generic_head(w2, b2, h, z):
-    """Oracle: the generic op chain the hypernet head replaces, in one piece."""
+    """Oracle: the generic op chain over F = w2 @ h + b2 that the hypernet
+    head replaces, in one piece; its norm and all gradients are the head's."""
     d, nb = z.shape
     w_z = (ad.matmul(w2, h) + b2.reshape((b2.size, 1))).reshape((w2.shape[0] // d, d, nb))
     return (w_z * w2.tape.constant(z.reshape((1, d, nb)))).sum(axis=1), ad.sqrt((w_z * w_z).sum(axis=1))
+
+
+def khatri_rao_contraction(w2, b2, h, z):
+    """Oracle: the head's contraction as generic ops, one GEMM over the
+    column-wise Khatri-Rao product of the draws z (d, B) and h (k, B)."""
+    (d, nb), k = z.shape, h.shape[0]
+    m, zt = w2.shape[0] // d, w2.tape.constant(z)
+    kr = (zt.reshape((d, 1, nb)) * h.reshape((1, k, nb))).reshape((d * k, nb))
+    return ad.matmul(w2.reshape((m, d * k)), kr) + ad.matmul(b2.reshape((m, d)), zt)
 
 
 def head_inputs(m, d, k, nb, seed):
@@ -197,25 +210,41 @@ class TestHypernetHead:
             loss, c, norm = head_loss(head, reach, *leaves, z, weights)
             tape.backward(loss)
             got.append([c.data, norm.data] + [leaf.grad for leaf in leaves])
+        tape = ad.Tape()
+        got[1][0] = khatri_rao_contraction(*(tape.constant(a) for a in arrays), z).data
         for mine, oracle in zip(*got):
             np.testing.assert_array_equal(mine, oracle)
 
-    @pytest.mark.parametrize("nb", [65, 130])
+    @pytest.mark.parametrize("m,nb", [(784, 128), (729, 65)])
+    def test_contraction_matches_blocked_f(self, m, nb):
+        # the Khatri-Rao sum order against sum_d F[:, d] z[d] over 64-pixel blocks of F
+        w2, b2, h, z, _ = head_inputs(m, 16, 32, nb, seed=nb)
+        tape = ad.Tape()
+        c, _ = sp._hypernet_head(*(tape.constant(a) for a in (w2, b2, h)), z)
+        expect = np.concatenate([
+            ((w2[rows] @ h + b2[rows, None]).reshape((-1, 16, nb)) * z).sum(axis=1)
+            for rows in (slice(a * 16, (a + 64) * 16) for a in range(0, m, 64))
+        ])
+        assert np.abs(c.data - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("nb", [65, 130, 255, 1025])
     def test_pre_activation_is_one_piece(self, nb):
-        # all draws in one evaluation: no draw block size can move the bits
+        # all draws and all pixels in one evaluation: no block size can move the bits
         p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=nb)
         z = np.random.default_rng(nb).standard_normal((16, nb))
         tape = ad.Tape()
         lv = {name: tape.constant(a) for name, a in p.arrays.items()}
 
+        def hidden(prefix, x):
+            b1 = lv[f"{prefix}.b1"]
+            return ad.leaky_relu(ad.matmul(lv[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1)), sp.LEAKY_SLOPE)
+
         def affine2(prefix, x):
-            b1, b2 = lv[f"{prefix}.b1"], lv[f"{prefix}.b2"]
-            hidden = ad.leaky_relu(ad.matmul(lv[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1)), sp.LEAKY_SLOPE)
-            return ad.matmul(lv[f"{prefix}.w2"], hidden) + b2.reshape((b2.size, 1))
+            b2 = lv[f"{prefix}.b2"]
+            return ad.matmul(lv[f"{prefix}.w2"], hidden(prefix, x)) + b2.reshape((b2.size, 1))
 
         r = affine2("rep", tape.constant(z))
-        w_z = affine2("fw", r).reshape((28 * 28, 16, nb))
-        expect = (w_z * tape.constant(z.reshape((1, 16, nb)))).sum(axis=1) + affine2("fb", r)
+        expect = khatri_rao_contraction(lv["fw.w2"], lv["fw.b2"], hidden("fw", r), z) + affine2("fb", r)
         np.testing.assert_array_equal(sp.hypernet_pre(p, z), expect.data)
 
 
