@@ -384,6 +384,88 @@ class TestConv2dLayer:
             ad.conv2d(x, k, bias, slope=slope)
 
 
+def compact(t):
+    """Identity op that hands on contiguous copies, forward and backward."""
+    return t.tape.record(np.ascontiguousarray(t.data), (t,), lambda g, needs: (np.ascontiguousarray(g),))
+
+
+def foreign_view(a, pad, halo):
+    """``a`` as the interior view of a padded-row buffer whose halo holds ``halo``."""
+    c, nb, h, w = a.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    rows = np.full((c, nb * hp * wp + 2 * pad * (wp + 1)), halo)
+    view = rows[:, : nb * hp * wp].reshape(c, nb, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    view[...] = a
+    return view
+
+
+class TestConv2dResident:
+    """Outputs and input gradients stay in zero-halo padded rows between layers."""
+
+    def test_chain_fed_its_own_outputs_equals_chain_fed_copies(self):
+        # A conv_resnet-like chain: 1 -> 4 (slope), 4 -> 4 (slope), 4 -> 4
+        # (skip), 4 -> 1.  B=5 at 28x28 spans two panels, the last one short.
+        nb, h, w = 5, 28, 28
+        rng = np.random.default_rng(15)
+        arrays = {"x": rng.standard_normal((1, nb, h, w))}
+        for name, (co, ci) in {"1": (4, 1), "2": (4, 4), "3": (4, 4), "4": (1, 4)}.items():
+            arrays[f"k{name}"] = rng.standard_normal((co, ci, 3, 3))
+            arrays[f"b{name}"] = rng.standard_normal(co)
+        g = rng.standard_normal((1, nb, h, w))
+
+        def run(hand_on):
+            tape = ad.Tape()
+            t = {name: tape.param(a) for name, a in arrays.items()}
+            c = ad.conv2d(t["x"], t["k1"], t["b1"], slope=0.2)
+            a = ad.conv2d(hand_on(c), t["k2"], t["b2"], slope=0.2)
+            c = ad.conv2d(hand_on(a), t["k3"], t["b3"], skip=hand_on(c))
+            out = ad.conv2d(hand_on(c), t["k4"], t["b4"])
+            tape.backward((out * tape.constant(g)).sum())
+            return c.data, out.data, {name: leaf.grad for name, leaf in t.items()}
+
+        c, resident, resident_grads = run(lambda t: t)
+        assert ad._pad_rows(c, 1) is c.base  # handed on without a copy
+        _, copied, copied_grads = run(compact)
+        assert np.array_equal(resident, copied)
+        for name in arrays:
+            assert np.array_equal(resident_grads[name], copied_grads[name]), name
+
+    @pytest.mark.parametrize("halo", [1.0, float("nan")])
+    def test_foreign_interior_view_with_nonzero_halo_matches_oracle(self, halo):
+        # A view laid out like a conv2d output but with a halo that is not
+        # all +0.0 bits: as the input it must be padded afresh, and as the
+        # skip its halo must not reach the output.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 3, 8, 8))
+        k = rng.standard_normal((4, 3, 3, 3))
+        skip = rng.standard_normal((2, 4, 8, 8))
+        tape = ad.Tape()
+        out = ad.conv2d(
+            tape.constant(foreign_view(cm(x), 1, halo)),
+            tape.constant(k),
+            tape.constant(np.zeros(4)),
+            skip=tape.constant(foreign_view(cm(skip), 1, halo)),
+        )
+        np.testing.assert_allclose(cm(out.data), conv2d_loops(x, k, 1) + skip, atol=1e-12)
+        contiguous = ad.conv2d(
+            tape.constant(cm(x)), tape.constant(k), tape.constant(np.zeros(4)), skip=tape.constant(cm(skip))
+        )
+        assert np.array_equal(out.data, contiguous.data)
+
+    def test_negative_zero_halo_is_copied(self):
+        # -0.0 equals 0.0 but is not the +0.0 of a copied pad: with a zero
+        # input, kernel signs that make every product at the corner -0.0
+        # against the -0.0 halo, the corner's sign bit tells them apart.
+        x = np.zeros((1, 1, 4, 4))
+        k = -np.ones((1, 1, 3, 3))
+        k[0, 0, 0, :] = k[0, 0, :, 0] = 1.0  # the taps that read the halo at (0, 0)
+        tape = ad.Tape()
+        trusted = ad.conv2d(tape.constant(foreign_view(x, 1, -0.0)), tape.constant(k)).data
+        copied = ad.conv2d(tape.constant(x), tape.constant(k)).data
+        assert not np.signbit(copied[0, 0, 0, 0])
+        assert np.array_equal(np.signbit(trusted), np.signbit(copied))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         tape = ad.Tape()

@@ -89,7 +89,9 @@ class TestDecoderForward:
 
     def test_decoder_apply_frees_each_activation_after_use(self):
         # A forward-only pass records nothing, so its peak spans a few
-        # activations, not every layer's output.
+        # activations, not every layer's output: 3.6 of them with each
+        # layer's output kept in the padded rows the next one reads, 5.4
+        # with a padded copy of each input and a compact copy of each output.
         n, f, nb = 28, 16, 64
         dec = md.init_decoder("conv_resnet", n=n, filters=f, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).random((n * n, nb))
@@ -100,7 +102,7 @@ class TestDecoderForward:
         finally:
             tracemalloc.stop()
         activation_bytes = nb * f * n * n * 8  # one float64 conv layer output
-        assert peak < 8 * activation_bytes
+        assert peak < 4.5 * activation_bytes
 
     def test_shape_validation(self):
         dec = md.init_decoder("mlp", n=3, hidden=4)

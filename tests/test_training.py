@@ -213,6 +213,9 @@ class TestAdam:
                 gc.callbacks.remove(count)
             return len(starts)
 
+        # The first call in a process also counts one-time allocations
+        # (read 8, then 5, 5, 5), so it is thrown away.
+        collections([1])
         one = collections([1])
         assert collections([4 * self.P + 1]) == one
         assert collections([2 * self.P + 5] * 12) == one
@@ -306,7 +309,9 @@ class TestStepFootprint:
         # Each conv_resnet layer is one conv2d whose epilogue adds the bias,
         # the leaky ReLU and the skip in place; separate bias, leaky_relu
         # and residual ops each kept a (16, 16, 28, 28) output here and
-        # peaked at 48.5 MiB, against 31.0 MiB fused
+        # peaked at 48.5 MiB.  Fused, with a padded copy of each layer's
+        # input kept beside its compact output, it peaked at 31.0 MiB; with
+        # activations kept in their padded rows, 22.6 MiB.
         step = warm_step("concrete", "conv_resnet", 28, 16)
         tracemalloc.start()
         try:
@@ -314,7 +319,7 @@ class TestStepFootprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2**20
+        assert peak < 26 * 2**20
 
     # Dead tapes sit in reference cycles, so the number of GC-tracked objects
     # a step leaves behind decides when the cyclic GC frees them, and with it
