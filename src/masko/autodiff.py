@@ -31,13 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    EvaluationError,
-    ParameterError,
-)
-from .rng import STREAM_EVAL, stream
+from .errors import ContractError, DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Padded-row columns per conv2d panel.  Above 8192/3 columns numpy runs the
@@ -281,9 +275,11 @@ def transpose(a: Tensor) -> Tensor:
         raise DimensionError(f"transpose expects a matrix, got {a.shape}")
 
     def back(g, needs):
+        # A copy: numpy sums in memory order, so a transposed gradient
+        # would change the bits of _unbroadcast's sums downstream.
         return (np.ascontiguousarray(g.T),)
 
-    return a.tape.record(np.ascontiguousarray(a.data.T), (a,), back)
+    return a.tape.record(a.data.T, (a,), back)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -639,60 +635,3 @@ def conv2d(
         return grads
 
     return x.tape.record(_interior(out_rows, nb, h, w, pad), inputs, back)
-
-
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    theta,
-    step: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare reverse-mode gradients of ``f`` against central differences.
-
-    ``f`` receives a leaf tensor and must build its result with ops on
-    that tensor's tape.  Returns the max over checked coordinates of
-    ``|analytic - numeric| / max(1e-8, |numeric|)``.  When ``max_coords``
-    is given, a random subset of coordinates of that size is checked.
-    """
-    if not step > 0:
-        raise ParameterError(f"step must be positive, got {step}")
-    theta = np.asarray(theta, dtype=np.float64)
-
-    tape = Tape()
-    leaf = tape.param(theta)
-    y = f(leaf)
-    if y.data.size != 1:
-        raise ContractError("grad_check target must be scalar")
-    if not np.isfinite(y.data).all():
-        raise EvaluationError("objective is non-finite at theta")
-    tape.backward(y)
-    analytic = leaf.grad
-
-    def value_at(arr: np.ndarray) -> float:
-        t = Tape()
-        out = f(t.constant(arr))
-        v = float(out.data.reshape(()))
-        if not math.isfinite(v):
-            raise EvaluationError("objective is non-finite at a perturbed point")
-        return v
-
-    flat_idx: Iterable[int]
-    if max_coords is not None and max_coords < theta.size:
-        gen = rng if rng is not None else stream(0, STREAM_EVAL)
-        flat_idx = gen.choice(theta.size, size=max_coords, replace=False)
-    else:
-        flat_idx = range(theta.size)
-
-    max_rel = 0.0
-    flat = theta.reshape(-1)
-    for i in flat_idx:
-        bump = flat.copy()
-        bump[i] += step
-        hi = value_at(bump.reshape(theta.shape))
-        bump[i] -= 2 * step
-        lo = value_at(bump.reshape(theta.shape))
-        numeric = (hi - lo) / (2 * step)
-        rel = abs(analytic.reshape(-1)[i] - numeric) / max(1e-8, abs(numeric))
-        max_rel = max(max_rel, rel)
-    return max_rel

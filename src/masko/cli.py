@@ -40,6 +40,9 @@ from .samplers import KINDS
 from .training import TrainConfig, train_loop
 
 DATASET_KINDS = ("digits", "field", "idx")
+# A density table row costs about 290 bytes while it is built, so this
+# bounds density-plot's peak near 280 MB.
+MAX_DENSITY_POINTS = 1_000_000
 
 
 @dataclass
@@ -248,8 +251,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_density_plot(args) -> int:
-    if args.points < 2:
-        raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_DENSITY_POINTS:
+        raise ConfigError(f"--points must lie in [2, {MAX_DENSITY_POINTS}], got {args.points}")
     eps = 1e-6
     ys = np.linspace(eps, 1.0 - eps, args.points)
     dens = logitnormal_pdf(ys, args.mu, args.sigma)

@@ -266,22 +266,3 @@ def write_pgm(image: np.ndarray, path) -> None:
     h, w = image.shape
     data = np.clip(np.rint(np.clip(image, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
     write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a P5 file written by :func:`write_pgm` (values in [0, 1])."""
-    with open(path, "rb") as f:
-        if read_exact(f, 3) != b"P5\n":
-            raise FormatError("not a binary PGM file")
-        header = b""
-        while header.count(b"\n") < 2:
-            byte = f.read(1)
-            if not byte:
-                raise FormatError("truncated PGM header")
-            header += byte
-        dims, maxval = header.decode("ascii").split("\n")[:2]
-        w, h = (int(v) for v in dims.split())
-        if int(maxval) != 255:
-            raise FormatError(f"unsupported PGM maxval {maxval}")
-        raw = read_exact(f, w * h)
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(h, w) / 255.0

@@ -68,23 +68,6 @@ def stretch(y: Tensor, cfg: StretchConfig) -> Tensor:
     return ad.clamp01(y * (cfg.eta - cfg.gamma) + cfg.gamma)
 
 
-def expected_l0(mu: np.ndarray, row_norm: np.ndarray, lam: float, cfg: StretchConfig) -> float:
-    """Closed-form expected number of strictly positive stretched outputs.
-
-    Per coordinate: 1 - Phi((lam * log(-gamma/eta) - mu_i) / row_norm_i).
-    The temperature factor keeps the threshold consistent with sampling
-    through ``sigmoid_lam``.  A zero ``row_norm`` coordinate contributes
-    the indicator of its deterministic value clearing the stretch
-    threshold.
-    """
-    t = lam * cfg.log_odds_threshold
-    pos = row_norm > 0
-    terms = np.empty_like(mu)
-    terms[pos] = 1.0 - ndtr((t - mu[pos]) / row_norm[pos])
-    terms[~pos] = (mu[~pos] > t).astype(np.float64)
-    return float(terms.sum())
-
-
 def expected_l0_terms(mu: Tensor, row_norm: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
     """Per-coordinate terms 1 - Phi((lam * log(-gamma/eta) - mu) / row_norm).
 

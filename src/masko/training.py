@@ -10,7 +10,6 @@ the previous epoch is left in place.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import astuple, dataclass, field, fields
@@ -22,7 +21,7 @@ from .autodiff import Tape
 from .checkpoint import save_checkpoint
 from .data import write_csv
 from .distributions import StretchConfig
-from .errors import ConfigError, ContractError, EvaluationError, FormatError
+from .errors import ConfigError, ContractError, EvaluationError
 from .model import (
     DECODER_KINDS,
     Decoder,
@@ -288,12 +287,3 @@ def train_loop(
 def write_metrics(metrics: list[EpochMetrics], path: str | Path) -> None:
     """CSV with shortest round-trip float formatting, written atomically."""
     write_csv(path, METRICS_HEADER, [astuple(row) for row in metrics])
-
-
-def read_metrics(path: str | Path) -> list[EpochMetrics]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = tuple(next(reader))
-        if header != METRICS_HEADER:
-            raise FormatError(f"unexpected metrics header {header!r}")
-        return [EpochMetrics(int(r[0]), *map(float, r[1:])) for r in reader]

@@ -9,6 +9,8 @@ import pytest
 from masko import autodiff as ad
 from masko.errors import ContractError, DimensionError, ParameterError
 
+from oracles import grad_check
+
 
 def matmul_loops(a, b):
     """Independent nested-loop reference product."""
@@ -255,7 +257,7 @@ class TestConv2d:
             kt = t.reshape(k.shape) if wrt == "k" else tape.constant(k)
             return (ad.conv2d(xt, kt) * tape.constant(weights)).sum()
 
-        assert ad.grad_check(f, x if wrt == "x" else k, step=1e-5) < 1e-4
+        assert grad_check(f, x if wrt == "x" else k, step=1e-5) < 1e-4
 
     def test_forward_and_backward_allocate_no_im2col_matrix(self):
         # A 3x3 im2col matrix alone is 9 x.nbytes; the padded-row GEMMs
@@ -351,7 +353,7 @@ class TestConv2dLayer:
                 out = ad.conv2d(b["x"], b["k"], b["bias"], skip=b["skip"])
             return (out * tape.constant(weights)).sum()
 
-        assert ad.grad_check(f, arrays[wrt], step=1e-5) < 1e-4
+        assert grad_check(f, arrays[wrt], step=1e-5) < 1e-4
 
     def layer_args(self, tape, co=3, bias_shape=None, skip_shape=None):
         x = tape.constant(np.zeros((2, 1, 4, 4)))
@@ -466,6 +468,18 @@ class TestConv2dResident:
         assert np.array_equal(np.signbit(trusted), np.signbit(copied))
 
 
+class TestTranspose:
+    def test_forward_is_a_view_and_the_gradient_a_contiguous_copy(self):
+        tape = ad.Tape()
+        x = tape.param(np.arange(6.0).reshape(2, 3))
+        y = ad.transpose(x)
+        assert np.shares_memory(y.data, x.data)
+        weights = np.arange(6.0).reshape(3, 2)
+        tape.backward((y * weights).sum())
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, weights.T)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         tape = ad.Tape()
@@ -551,7 +565,7 @@ class TestBackward:
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        err = ad.grad_check(lambda t: (t * t).sum(), np.array([3.0]))
+        err = grad_check(lambda t: (t * t).sum(), np.array([3.0]))
         assert err < 1e-8
 
     @pytest.mark.parametrize(
@@ -585,8 +599,8 @@ class TestGradCheck:
         size = 18 if name == "conv" else 6
         for _ in range(10):
             theta = rng.uniform(domain[0], domain[1], size=size)
-            assert ad.grad_check(fn, theta, step=1e-5) < 1e-4
+            assert grad_check(fn, theta, step=1e-5) < 1e-4
 
     def test_rejects_bad_step(self):
         with pytest.raises(ParameterError):
-            ad.grad_check(lambda t: t.sum(), np.array([1.0]), step=0.0)
+            grad_check(lambda t: t.sum(), np.array([1.0]), step=0.0)

@@ -11,8 +11,10 @@ import pytest
 from masko import model as md
 from masko import samplers as sp
 from masko.cli import RunConfig, cli_main
-from masko.data import load_idx, read_pgm, write_idx_images
+from masko.data import load_idx, write_idx_images
 from masko.training import TrainConfig, save_checkpoint
+
+from oracles import read_pgm
 
 
 def write_config(path, **kv):
@@ -446,6 +448,16 @@ class TestDensityPlotCommand:
 
     @pytest.mark.parametrize("points", ["0", "1", "-5"])
     def test_fewer_than_two_points_is_a_configuration_error(self, tmp_path, capsys, points):
+        out = tmp_path / "dens"
+        code = cli_main(
+            ["density-plot", "--mu", "0", "--sigma", "1", f"--points={points}", "--out", str(out)]
+        )
+        assert code == 1
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [1_000_001, 10**13])
+    def test_too_many_points_is_a_configuration_error(self, tmp_path, capsys, points):
         out = tmp_path / "dens"
         code = cli_main(
             ["density-plot", "--mu", "0", "--sigma", "1", f"--points={points}", "--out", str(out)]

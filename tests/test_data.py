@@ -8,6 +8,8 @@ import pytest
 from masko import data as dt
 from masko.errors import ConfigError, FormatError
 
+from oracles import read_pgm
+
 
 def write_idx_fixture(path, pixels):
     """Handcrafted IDX bytes, independent of the library writer."""
@@ -161,12 +163,12 @@ class TestPgm:
         image = rng.random((9, 7))
         path = tmp_path / "rt.pgm"
         dt.write_pgm(image, path)
-        back = dt.read_pgm(path)
+        back = read_pgm(path)
         assert back.shape == image.shape
         assert np.abs(back - image).max() <= 1.0 / 255
 
     def test_values_clamped(self, tmp_path):
         path = tmp_path / "cl.pgm"
         dt.write_pgm(np.array([[-0.5, 2.0]]), path)
-        back = dt.read_pgm(path)
+        back = read_pgm(path)
         np.testing.assert_array_equal(back, [[0.0, 1.0]])

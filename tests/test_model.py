@@ -8,8 +8,10 @@ import pytest
 from masko import autodiff as ad
 from masko import model as md
 from masko import samplers as sp
-from masko.distributions import StretchConfig, expected_l0
+from masko.distributions import StretchConfig
 from masko.errors import DimensionError
+
+from oracles import expected_l0, grad_check
 
 CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
@@ -84,7 +86,7 @@ class TestDecoderForward:
                 xhat, _ = md.decoder_forward(tape, dec, tape.constant(x0), leaves)
                 return xhat.mean()
 
-            err = ad.grad_check(f, base.reshape(-1), max_coords=8)
+            err = grad_check(f, base.reshape(-1), max_coords=8)
             assert err < 1e-4, (kind, name)
 
     def test_decoder_apply_frees_each_activation_after_use(self):
@@ -252,7 +254,7 @@ class TestObjective:
             loss, _, _ = md.objective(out, tape.constant(x0), dec, 0.1, CFG)
             return loss
 
-        assert ad.grad_check(loss_with_w, w.reshape(-1), max_coords=14) < 1e-4
+        assert grad_check(loss_with_w, w.reshape(-1), max_coords=14) < 1e-4
 
         def loss_with_dec_w1(leaf):
             tape = leaf.tape
@@ -273,4 +275,4 @@ class TestObjective:
             diff = xhat - tape.constant(x0)
             return (diff * diff).mean()
 
-        assert ad.grad_check(loss_with_dec_w1, dec.arrays["w1"].reshape(-1), max_coords=14) < 1e-4
+        assert grad_check(loss_with_dec_w1, dec.arrays["w1"].reshape(-1), max_coords=14) < 1e-4

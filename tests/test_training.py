@@ -13,6 +13,8 @@ from masko import training as tr
 from masko.errors import ConfigError, ContractError, EvaluationError
 from masko.rng import STREAM_LATENT, stream
 
+from oracles import expected_l0, read_metrics
+
 
 def tiny_images(count=32, n=8, seed=0):
     """Smooth random images in [0, 1] with spatial structure."""
@@ -351,7 +353,6 @@ class TestSparsityPressure:
     def test_heavier_weight_never_increases_trained_sparsity(self, seed, numpy_law):
         # 200 steps on one fixed batch; the trained normalized expected-l0
         # must be non-increasing across increasing sparsity weights
-        from masko.distributions import expected_l0
 
         finals = []
         for lam_sparse in (0.01, 0.1, 1.0):
@@ -416,7 +417,7 @@ class TestTrainLoop:
         params, dec = ck.load_checkpoint(tmp_path / "checkpoint.bin")
         for (_, a), (_, b) in zip(sp.param_arrays(result.sampler), sp.param_arrays(params)):
             np.testing.assert_array_equal(a, b)
-        rows = tr.read_metrics(tmp_path / "metrics.csv")
+        rows = read_metrics(tmp_path / "metrics.csv")
         assert [r.epoch for r in rows] == [1, 2, 3]
 
     def test_loop_determinism_bitwise(self, tmp_path):
