@@ -9,6 +9,10 @@ only records nothing, so a forward pass over constants keeps no tensor
 alive beyond its last use.  A two-output op is two records made before
 any consumer, so the later one's rule runs first and finds the other's
 gradient final; ``samplers._hypernet_head`` is one, recomputing in backward.
+Memory-bound elementwise work is folded into the op that makes the array:
+``matmul`` adds an optional bias column to its GEMM output in place, and
+``clamp01`` applies an affine map before it clamps, so a dense layer's
+``W x + b`` and the stretched hard threshold are one record each.
 ``conv2d`` is a whole convolutional layer over channel-major (C, B, H, W)
 activations: its bias, leaky ReLU and skip add run in the epilogue of the
 correlation's column panels instead of as ops of their own.  Its output,
@@ -258,16 +262,32 @@ def div(a, b) -> Tensor:
     return a.tape.record(out, (a, b), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product of two 2-D tensors, plus an optional (m,) ``bias``
+    added to every column of the (m, n) product.
+
+    The bias is added in place to the GEMM output, so ``a @ b + bias`` is
+    one record where ``matmul``, ``reshape`` and ``add`` made three; its
+    gradient sums the output gradient along each row, as ``_unbroadcast``
+    sums that of a broadcast (m, 1) column.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul needs (m, k) x (k, n) operands, got {a.shape} x {b.shape}")
+    if bias is not None and bias.data.shape != a.data.shape[:1]:
+        raise DimensionError(f"bias must be ({a.data.shape[0]},), got {bias.shape}")
     out = a.data @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        out += bias.data[:, None]
+        inputs += (bias,)
 
     def back(g, needs):
-        return (g @ b.data.T if needs[0] else None, a.data.T @ g if needs[1] else None)
+        grads = (g @ b.data.T if needs[0] else None, a.data.T @ g if needs[1] else None)
+        if bias is not None:
+            grads += (g.sum(axis=1, keepdims=True).reshape(bias.data.shape) if needs[2] else None,)
+        return grads
 
-    return a.tape.record(out, (a, b), back)
+    return a.tape.record(out, inputs, back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -301,18 +321,32 @@ def sigmoid_temp(x: Tensor, lam: float) -> Tensor:
     s = expit(x.data / lam)
 
     def back(g, needs):
-        return (g * s * (1.0 - s) / lam,)
+        t = g * s
+        t *= 1.0 - s
+        t /= lam
+        return (t,)
 
     return x.tape.record(s, (x,), back)
 
 
-def clamp01(x: Tensor) -> Tensor:
-    """Hard threshold to [0, 1]; subgradient 0 at the kinks and outside."""
-    out = np.clip(x.data, 0.0, 1.0)
-    interior = (x.data > 0.0) & (x.data < 1.0)
+def clamp01(x: Tensor, scale: float = 1.0, shift: float = 0.0) -> Tensor:
+    """Hard threshold of ``x*scale + shift`` to [0, 1]; subgradient 0 at the
+    kinks and outside.
+
+    One pass and one record for what ``mul``, ``add`` and a bare clamp
+    make three of, with their per-element operations in the same order, so
+    the output and the gradient match that chain bit for bit.  The affine
+    map always runs, so with the defaults a -0.0 input comes out +0.0.
+    """
+    t = x.data * scale
+    t += shift
+    interior = (t > 0.0) & (t < 1.0)
+    out = np.clip(t, 0.0, 1.0, out=t)
 
     def back(g, needs):
-        return (g * interior,)
+        t = g * interior
+        t *= scale
+        return (t,)
 
     return x.tape.record(out, (x,), back)
 

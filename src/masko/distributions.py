@@ -64,8 +64,9 @@ def logitnormal_pdf(y, mu: float, sigma: float):
 
 
 def stretch(y: Tensor, cfg: StretchConfig) -> Tensor:
-    """Affine stretch past [0, 1] then hard threshold back onto it."""
-    return ad.clamp01(y * (cfg.eta - cfg.gamma) + cfg.gamma)
+    """Affine stretch past [0, 1] then hard threshold back onto it: one
+    ``clamp01`` record of ``y*(eta - gamma) + gamma``."""
+    return ad.clamp01(y, cfg.eta - cfg.gamma, cfg.gamma)
 
 
 def expected_l0_terms(mu: Tensor, row_norm: Tensor, lam: float, cfg: StretchConfig) -> Tensor:

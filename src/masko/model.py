@@ -61,10 +61,9 @@ class LossBreakdown:
 
 
 def _mlp_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
-    h, m = dec.width, dec.n * dec.n
-    h1 = ad.leaky_relu(ad.matmul(leaves["w1"], x_obs) + leaves["b1"].reshape((h, 1)), LEAKY_SLOPE)
-    h2 = ad.leaky_relu(ad.matmul(leaves["w2"], h1) + leaves["b2"].reshape((h, 1)), LEAKY_SLOPE)
-    return ad.matmul(leaves["w3"], h2) + leaves["b3"].reshape((m, 1))
+    h1 = ad.leaky_relu(ad.matmul(leaves["w1"], x_obs, leaves["b1"]), LEAKY_SLOPE)
+    h2 = ad.leaky_relu(ad.matmul(leaves["w2"], h1, leaves["b2"]), LEAKY_SLOPE)
+    return ad.matmul(leaves["w3"], h2, leaves["b3"])
 
 
 def _conv_forward(dec: Decoder, leaves: dict[str, Tensor], x_obs: Tensor) -> Tensor:
@@ -164,6 +163,25 @@ def decoder_apply(dec: Decoder, x_cols: np.ndarray) -> np.ndarray:
     return xhat.data
 
 
+def _squared_error(xhat: Tensor, x: Tensor) -> Tensor:
+    """``((xhat - x) * (xhat - x)).mean()`` as one tape record.
+
+    Bit for bit the ``sub``, ``mul`` and ``tensor_mean`` chain: that
+    chain's gradient of the difference is ``G*diff + G*diff`` for ``G``
+    the broadcast ``g/n``, and doubling ``(g/n)*diff`` in place is exactly
+    that sum.  Not an autodiff op: the objective is its only caller.
+    """
+    diff = xhat.data - x.data
+    n = diff.size
+
+    def back(g, needs):
+        gd = (g / n) * diff
+        gd += gd
+        return gd if needs[0] else None, -gd if needs[1] else None
+
+    return xhat.tape.record(np.asarray((diff * diff).mean()), (xhat, x), back)
+
+
 def objective(
     sampler_out: SamplerOutput,
     x: Tensor,
@@ -183,8 +201,7 @@ def objective(
         raise DimensionError(f"mask {sampler_out.stretched.data.shape} vs batch {x.data.shape}")
     x_obs = sampler_out.stretched * x
     xhat, dec_leaves = decoder_forward(x.tape, dec, x_obs, dec_leaves)
-    diff = xhat - x
-    recon = (diff * diff).mean()
+    recon = _squared_error(xhat, x)
     if sampler_out.law is not None:
         terms = expected_l0_terms(*sampler_out.law, sampler_out.lam, cfg)
     else:

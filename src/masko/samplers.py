@@ -209,13 +209,11 @@ def _hypernet_head(
 
 
 def _hidden(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    b1 = leaves[f"{prefix}.b1"]
-    return ad.leaky_relu(ad.matmul(leaves[f"{prefix}.w1"], x) + b1.reshape((b1.size, 1)), LEAKY_SLOPE)
+    return ad.leaky_relu(ad.matmul(leaves[f"{prefix}.w1"], x, leaves[f"{prefix}.b1"]), LEAKY_SLOPE)
 
 
 def _affine2_cols(leaves: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    b2 = leaves[f"{prefix}.b2"]
-    return ad.matmul(leaves[f"{prefix}.w2"], _hidden(leaves, prefix, x)) + b2.reshape((b2.size, 1))
+    return ad.matmul(leaves[f"{prefix}.w2"], _hidden(leaves, prefix, x), leaves[f"{prefix}.b2"])
 
 
 def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) -> dict:
@@ -229,8 +227,7 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
 
 def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """sigmoid_lam(W z + b); pixel i is logitNormal with mean b[i] and std |W[i]|."""
-    b = leaves["b"]
-    soft = ad.sigmoid_temp(ad.matmul(leaves["w"], zt) + b.reshape((b.size, 1)), p.lam)
+    soft = ad.sigmoid_temp(ad.matmul(leaves["w"], zt, leaves["b"]), p.lam)
     return soft, KINDS[p.kind].law(leaves), None
 
 

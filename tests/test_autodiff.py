@@ -103,6 +103,114 @@ class TestMatmul:
             ad.matmul(tape.constant(np.zeros((6, 3, 4))), tape.constant(np.zeros((6, 4, 2))))
 
 
+def run_leaves(op, arrays, g):
+    """Output of ``op`` on ``arrays`` bound as leaves, and every leaf's
+    gradient for the output gradient ``g``."""
+    tape = ad.Tape()
+    t = {name: tape.param(a) for name, a in arrays.items()}
+    out = op(**t)
+    tape.backward((out * tape.constant(g)).sum())
+    return out.data, {name: leaf.grad for name, leaf in t.items()}
+
+
+def assert_same_bits(fused, chain):
+    (out, grads), (chain_out, chain_grads) = fused, chain
+    assert out.tobytes() == chain_out.tobytes()
+    for name, grad in grads.items():
+        assert grad.tobytes() == chain_grads[name].tobytes(), name
+
+
+# (rows, batch) of the mask-path arrays: a decoder output and a hidden layer
+# at B=128, one column, and a strided view.
+ELEMENTWISE_CASES = [(784, 128, False), (256, 128, False), (784, 1, False), (784, 128, True)]
+
+
+def elementwise_array(rng, rows, nb, strided, low=-1.0, high=1.0):
+    if strided:
+        return rng.uniform(low, high, size=(rows, 2 * nb))[:, ::2]
+    return rng.uniform(low, high, size=(rows, nb))
+
+
+class TestMatmulBias:
+    """``matmul(a, b, bias)``: the GEMM output plus a bias column, one record."""
+
+    @pytest.mark.parametrize(
+        "m,k,nb,strided",
+        [
+            (784, 256, 128, False),  # MLP output layer
+            (256, 784, 128, False),  # MLP first layer
+            (256, 784, 1, False),
+            (256, 784, 128, True),
+        ],
+    )
+    def test_equals_matmul_reshape_add_bit_for_bit(self, m, k, nb, strided):
+        rng = np.random.default_rng(zlib.crc32(repr((m, k, nb, strided)).encode()))
+        a = rng.standard_normal((k, m)).T if strided else rng.standard_normal((m, k))
+        b = rng.standard_normal((k, 2 * nb))[:, ::2] if strided else rng.standard_normal((k, nb))
+        assert a.flags.c_contiguous != strided and b.flags.c_contiguous != strided
+        arrays = {"a": a, "b": b, "bias": rng.standard_normal(m)}
+        g = rng.standard_normal((m, nb))
+        fused = run_leaves(ad.matmul, arrays, g)
+        chain = run_leaves(lambda a, b, bias: ad.matmul(a, b) + bias.reshape((m, 1)), arrays, g)
+        assert_same_bits(fused, chain)
+
+    @pytest.mark.parametrize("wrt", ["a", "b", "bias"])
+    def test_gradients_match_central_differences(self, wrt):
+        rng = np.random.default_rng(zlib.crc32(f"matmul-bias/{wrt}".encode()))
+        arrays = {name: rng.standard_normal(shape) for name, shape in [("a", (3, 4)), ("b", (4, 5)), ("bias", 3)]}
+        weights = rng.standard_normal((3, 5))
+
+        def f(t):
+            tape = t.tape
+            x = {name: t.reshape(a.shape) if name == wrt else tape.constant(a) for name, a in arrays.items()}
+            return (ad.matmul(x["a"], x["b"], x["bias"]) * tape.constant(weights)).sum()
+
+        assert grad_check(f, arrays[wrt], step=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("bias_shape", [(2,), (4,), (3, 1), (1, 3), ()])
+    def test_bias_not_one_per_output_row_rejected(self, bias_shape):
+        tape = ad.Tape()
+        with pytest.raises(DimensionError):
+            ad.matmul(*(tape.constant(np.zeros(shape)) for shape in [(3, 4), (4, 5), bias_shape]))
+
+
+class TestAffineClamp01:
+    """``clamp01(x, scale, shift)``: the stretch's mul, add and clamp in one record."""
+
+    @pytest.mark.parametrize("rows,nb,strided", ELEMENTWISE_CASES)
+    def test_equals_mul_add_clamp_bit_for_bit(self, rows, nb, strided):
+        rng = np.random.default_rng(zlib.crc32(repr(("clamp", rows, nb, strided)).encode()))
+        x = elementwise_array(rng, rows, nb, strided, 0.0, 1.0)
+        x[:8, 0] = [0.0, 1.0, -0.0, 1.0 / 12.0, 11.0 / 12.0, 0.5, 1e-300, 1 - 2**-53]
+        g = rng.standard_normal((rows, nb))
+        scale, shift = 1.2, -0.1  # the default stretch, eta - gamma and gamma
+        fused = run_leaves(lambda x: ad.clamp01(x, scale, shift), {"x": x}, g)
+        chain = run_leaves(lambda x: ad.clamp01(x * scale + shift), {"x": x}, g)
+        assert_same_bits(fused, chain)
+        assert fused[0].min() == 0.0 and fused[0].max() == 1.0  # both clipped ends are reached
+
+    def test_gradient_matches_central_differences(self):
+        # Inputs whose stretched values keep clear of the kinks at 0 and 1.
+        weights = np.linspace(-1.0, 2.0, 6)
+        theta = np.array([0.2, 0.35, 0.5, 0.65, 0.8, 0.1])
+        assert grad_check(lambda t: (ad.clamp01(t, 1.2, -0.1) * t.tape.constant(weights)).sum(), theta) < 1e-6
+
+    def test_defaults_turn_negative_zero_positive(self):
+        out = ad.clamp01(ad.Tape().constant([-0.0, 0.0])).data
+        assert not np.signbit(out).any()
+
+
+class TestSigmoidTempBackward:
+    @pytest.mark.parametrize("rows,nb,strided", ELEMENTWISE_CASES)
+    @pytest.mark.parametrize("lam", [0.3, 1.0])
+    def test_equals_the_one_expression_rule_bit_for_bit(self, rows, nb, strided, lam):
+        rng = np.random.default_rng(zlib.crc32(repr(("sigmoid", rows, nb, strided, lam)).encode()))
+        x = elementwise_array(rng, rows, nb, strided, -3.0, 3.0)
+        g = rng.standard_normal((rows, nb))
+        out, grads = run_leaves(lambda x: ad.sigmoid_temp(x, lam), {"x": x}, g)
+        assert grads["x"].tobytes() == (g * out * (1.0 - out) / lam).tobytes()
+
+
 class TestSigmoidTemp:
     def test_zero_is_half(self):
         tape = ad.Tape()

@@ -276,3 +276,43 @@ class TestObjective:
             return (diff * diff).mean()
 
         assert grad_check(loss_with_dec_w1, dec.arrays["w1"].reshape(-1), max_coords=14) < 1e-4
+
+
+class TestSquaredError:
+    """The objective's MSE is one record, bit for bit the sub, mul and mean chain."""
+
+    @pytest.mark.parametrize(
+        "rows,nb,strided", [(784, 128, False), (256, 128, False), (784, 1, False), (784, 128, True)]
+    )
+    def test_equals_sub_mul_mean_bit_for_bit(self, rows, nb, strided):
+        rng = np.random.default_rng(rows * 1000 + nb + strided)
+        cols = 2 * nb if strided else nb
+        arrays = {"xhat": rng.standard_normal((rows, cols))[:, ::2 if strided else 1], "x": rng.random((rows, nb))}
+
+        def run(loss):
+            tape = ad.Tape()
+            t = {name: tape.param(a) for name, a in arrays.items()}
+            out = loss(t["xhat"], t["x"])
+            tape.backward(out * 0.7)
+            return out.data, {name: leaf.grad for name, leaf in t.items()}
+
+        def chain(xhat, x):
+            diff = xhat - x
+            return (diff * diff).mean()
+
+        (out, grads), (chain_out, chain_grads) = run(md._squared_error), run(chain)
+        assert out.tobytes() == chain_out.tobytes()
+        for name in arrays:
+            assert grads[name].tobytes() == chain_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("wrt", ["xhat", "x"])
+    def test_gradients_match_central_differences(self, wrt):
+        rng = np.random.default_rng(len(wrt))
+        arrays = {"xhat": rng.standard_normal((3, 4)), "x": rng.random((3, 4))}
+
+        def f(t):
+            tape = t.tape
+            b = {name: t.reshape(a.shape) if name == wrt else tape.constant(a) for name, a in arrays.items()}
+            return md._squared_error(b["xhat"], b["x"])
+
+        assert grad_check(f, arrays[wrt]) < 1e-6
