@@ -104,6 +104,8 @@ def load_idx(images_path, labels_path=None) -> Dataset:
         else:
             raw = read_exact(f, count * rows * cols * 8)
             images = np.frombuffer(raw, dtype=">f8").astype(np.float64)
+            if not np.isfinite(images).all():
+                raise FormatError("float64 IDX images hold a non-finite pixel")
     images = images.reshape(count, rows, cols)
 
     labels = None

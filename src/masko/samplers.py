@@ -10,14 +10,14 @@ Four variants over n*n pixels:
 * ``concrete`` — relaxed binary concrete baseline driven by uniform noise.
 
 Each variant is one :class:`SamplerKind` declaration in :data:`KINDS`:
-its array shapes and init bounds, its noise draw, its forward pass and
-closed-form law over bound leaf tensors, and its zero-temperature
-collapse, which runs that tape code on constants.  This module is the one
-place that draws masks; the law's closed forms (stretch, expected l0,
-collapse probabilities) live in :mod:`masko.distributions`.  Parameters
-are a :class:`SamplerParams` holding plain float64 numpy arrays; a
-forward pass binds them to a tape and returns the soft and stretched
-masks plus the bound leaves so the training loop can read gradients.
+its array shapes and init bounds, its noise draw, its forward pass to
+the pre-sigmoid values and closed-form law over bound leaf tensors, and
+its zero-temperature collapse, which runs that tape code on constants.
+This module is the one place that draws masks; the law's closed forms
+live in :mod:`masko.distributions`.  A :class:`SamplerParams` holds
+plain float64 arrays; :func:`sampler_forward` binds them to a tape, applies
+the one temperature sigmoid and the stretch, and returns the soft and
+stretched masks plus the bound leaves for the gradients.
 The hypernet's per-draw maps W_z (Ha, Dai & Le, 2016) are never stored:
 :func:`_hypernet_head` applies them to the draw as one GEMM over the
 Khatri-Rao product of draw and hidden layer, and walks them in pixel
@@ -84,8 +84,8 @@ class SamplerKind:
     # (n*n, d, k) -> {name: (shape, init)}, in checkpoint order; init is the
     # bound of a uniform draw on [-init, init], or 0 for zeros
     layout: Callable[[int, int, int], dict[str, tuple[tuple[int, ...], float]]]
-    # (params, leaves, noise) -> (soft mask, law or None, logits or None)
-    forward: Callable[[SamplerParams, dict[str, Tensor], Tensor], tuple]
+    # (leaves, noise) -> (pre-sigmoid values, law or None, logits or None)
+    forward: Callable[[dict[str, Tensor], Tensor], tuple]
     # (params, mc_samples, seed) -> per-pixel zero-temperature selection probabilities
     collapse: Callable[[SamplerParams, int, int], np.ndarray]
     # (rng, (rows, batch)) -> the noise one forward pass consumes
@@ -126,13 +126,14 @@ def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
 
 def _hypernet_pre(leaves: dict[str, Tensor], zt: Tensor, norm: bool = True) -> tuple:
     """W_z z + b_z for each draw column of zt (d, B), with W_z as the
-    (n*n, d, B) reshape of F_W's output; returns (pre, row norm of W_z or
-    None when ``norm`` is False, b_z)."""
+    (n*n, d, B) reshape of F_W's output.  Each draw yields its own (W_z,
+    b_z), so the law (b_z, row norm of W_z) is per draw; the norm is None
+    when ``norm`` is False."""
     r = _affine2_cols(leaves, "rep", zt)  # (k, B)
     h = _hidden(leaves, "fw", r)
     wz_z, w_norm = _hypernet_head(leaves["fw.w2"], leaves["fw.b2"], h, zt.data, norm)
     b_z = _affine2_cols(leaves, "fb", r)  # (n*n, B)
-    return wz_z + b_z, w_norm, b_z
+    return wz_z + b_z, (b_z, w_norm), None
 
 
 def _hypernet_head(
@@ -225,34 +226,25 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
     }
 
 
-def _vanilla_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
-    """sigmoid_lam(W z + b); pixel i is logitNormal with mean b[i] and std |W[i]|."""
-    soft = ad.sigmoid_temp(ad.matmul(leaves["w"], zt, leaves["b"]), p.lam)
-    return soft, KINDS[p.kind].law(leaves), None
+def _vanilla_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """W z + b; pixel i is logitNormal with mean b[i] and std |W[i]|."""
+    return ad.matmul(leaves["w"], zt, leaves["b"]), KINDS["vanilla"].law(leaves), None
 
 
-def _hypernet_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
-    """Each column of the draw yields its own (W_z, b_z); conditioned on a
-    fixed draw the mask is deterministic, and the law is per draw."""
-    pre, w_norm, b_z = _hypernet_pre(leaves, zt)
-    return ad.sigmoid_temp(pre, p.lam), (b_z, w_norm), None
-
-
-def _independent_mask(p: SamplerParams, leaves: dict[str, Tensor], zt: Tensor) -> tuple:
-    """sigmoid_lam(mu + z * sigma), one independent draw per pixel."""
-    mu, sigma = KINDS[p.kind].law(leaves)
+def _independent_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
+    """mu + z * sigma, one independent draw per pixel."""
+    mu, sigma = KINDS["independent"].law(leaves)
     m = mu.size
-    soft = ad.sigmoid_temp(mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), p.lam)
-    return soft, (mu, sigma), None
+    return mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), (mu, sigma), None
 
 
-def _concrete_mask(p: SamplerParams, leaves: dict[str, Tensor], ut: Tensor) -> tuple:
-    """Relaxed binary concrete sample from uniform noise in (0, 1)."""
+def _concrete_pre(leaves: dict[str, Tensor], ut: Tensor) -> tuple:
+    """log_alpha plus the logistic noise log(u) - log(1 - u) of uniform
+    noise in (0, 1): a relaxed binary concrete sample before its sigmoid."""
     if np.any(ut.data <= 0.0) or np.any(ut.data >= 1.0):
         raise DomainError("uniform noise must lie strictly inside (0, 1); resample")
-    noise = ad.log(ut) - ad.log(1.0 - ut)
     la = leaves["log_alpha"]
-    return ad.sigmoid_temp(la.reshape((la.size, 1)) + noise, p.lam), None, la
+    return la.reshape((la.size, 1)) + (ad.log(ut) - ad.log(1.0 - ut)), None, la
 
 
 def _collapse_law(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
@@ -266,10 +258,9 @@ def _hypernet_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarr
 
 
 def _concrete_collapse(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
-    u = stream(seed, STREAM_EVAL).random((mc_samples, p.n * p.n))
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    noise = np.log(u) - np.log1p(-u)
-    return (p.arrays["log_alpha"][None, :] + noise > 0).mean(axis=0)
+    tape = Tape()  # drawn as rows of n*n uniforms, one per draw; read as (n*n, draws)
+    u = tape.constant(_open_uniform(stream(seed, STREAM_EVAL), (mc_samples, p.n * p.n)).T)
+    return (_concrete_pre(_constants(tape, p), u)[0].data > 0).mean(axis=1)
 
 
 def _hypernet_calibrate(p: SamplerParams, rng: np.random.Generator) -> None:
@@ -286,7 +277,7 @@ KINDS: dict[str, SamplerKind] = {
         tag=0,
         dims="d",
         layout=lambda m, d, k: {"w": ((m, d), math.sqrt(3.0 / d)), "b": ((m,), 0.0)},
-        forward=_vanilla_mask,
+        forward=_vanilla_pre,
         collapse=_collapse_law,
         law=lambda lv: (lv["b"], ad.sqrt((lv["w"] * lv["w"]).sum(axis=1))),
     ),
@@ -298,7 +289,7 @@ KINDS: dict[str, SamplerKind] = {
             **_net_layout("fw", k, k, m * d, math.sqrt(3.0 / k)),
             **_net_layout("fb", k, k, m, 0.01),
         },
-        forward=_hypernet_mask,
+        forward=_hypernet_pre,
         collapse=_hypernet_collapse,
         calibrate=_hypernet_calibrate,
     ),
@@ -306,7 +297,7 @@ KINDS: dict[str, SamplerKind] = {
         tag=2,
         dims="",
         layout=lambda m, d, k: {"mu": ((m,), 0.0), "sigma_raw": ((m,), 0.0)},
-        forward=_independent_mask,
+        forward=_independent_pre,
         collapse=_collapse_law,
         law=lambda lv: (lv["mu"], ad.softplus(lv["sigma_raw"])),
         calibrate=_independent_calibrate,
@@ -316,7 +307,7 @@ KINDS: dict[str, SamplerKind] = {
         dims="",
         layout=lambda m, d, k: {"log_alpha": ((m,), 0.0)},
         draw=_open_uniform,
-        forward=_concrete_mask,
+        forward=_concrete_pre,
         collapse=_concrete_collapse,
     ),
 }
@@ -340,7 +331,8 @@ def sampler_forward(
     zt = tape.constant(z)
     if leaves is None:
         leaves = {name: tape.param(arr) for name, arr in params.arrays.items()}
-    soft, law, logits = KINDS[params.kind].forward(params, leaves, zt)
+    pre, law, logits = KINDS[params.kind].forward(leaves, zt)
+    soft = ad.sigmoid_temp(pre, params.lam)
     return SamplerOutput(soft, stretch(soft, cfg), params.lam, leaves, law, logits)
 
 

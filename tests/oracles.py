@@ -21,6 +21,7 @@ from masko.data import read_exact
 from masko.distributions import StretchConfig
 from masko.errors import ContractError, EvaluationError, FormatError, ParameterError
 from masko.rng import STREAM_EVAL, stream
+from masko.samplers import SamplerParams
 from masko.training import METRICS_HEADER, EpochMetrics
 
 
@@ -96,6 +97,15 @@ def expected_l0(mu: np.ndarray, row_norm: np.ndarray, lam: float, cfg: StretchCo
     terms[pos] = 1.0 - ndtr((t - mu[pos]) / row_norm[pos])
     terms[~pos] = (mu[~pos] > t).astype(np.float64)
     return float(terms.sum())
+
+
+def concrete_collapse_numpy(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
+    """The concrete kind's Monte-Carlo collapse with its logistic noise
+    restated in numpy: clipped uniforms, one row of n*n per draw."""
+    u = stream(seed, STREAM_EVAL).random((mc_samples, p.n * p.n))
+    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    noise = np.log(u) - np.log1p(-u)
+    return (p.arrays["log_alpha"][None, :] + noise > 0).mean(axis=0)
 
 
 def read_metrics(path: str | Path) -> list[EpochMetrics]:

@@ -259,6 +259,22 @@ class TestEvalCommand:
         assert err.startswith("error: ") and "no images" in err
         assert not (tmp_path / "ev" / "eval.csv").exists()
 
+    def test_non_finite_test_pixel_is_an_error(self, tmp_path, capsys):
+        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
+        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        images = np.zeros((4, 8, 8))
+        write_idx_images(images, tmp_path / "train.idx", dtype="f64")
+        images[2, 5, 1] = np.nan
+        write_idx_images(images, tmp_path / "test.idx", dtype="f64")
+        cfg = write_config(
+            tmp_path / "cfg.json", dataset="idx", out_dir=str(tmp_path / "ev"),
+            train_images=str(tmp_path / "train.idx"), test_images=str(tmp_path / "test.idx"),
+        )
+        code = cli_main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
 
 class TestCollapseCommand:
     def test_untrained_centered_sampler(self, tmp_path, capsys):

@@ -95,6 +95,15 @@ class TestLoadIdx:
         back = dt.load_idx(path)
         np.testing.assert_array_equal(back.images, images)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_f64_non_finite_pixel_rejected(self, tmp_path, bad):
+        images = np.zeros((3, 4, 4))
+        images[1, 2, 3] = bad
+        path = tmp_path / "bad64.idx"
+        dt.write_idx_images(images, path, dtype="f64")
+        with pytest.raises(FormatError, match="non-finite"):
+            dt.load_idx(path)
+
 
 class TestGaussianRandomField:
     def test_flat_spectrum_is_white(self):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from masko import evaluate as ev
 from masko import model as md
@@ -12,6 +13,7 @@ from masko import samplers as sp
 from masko import training as tr
 from masko.distributions import collapse_prob
 from masko.errors import ContractError, DimensionError, ParameterError
+from oracles import concrete_collapse_numpy
 
 
 class TestCollapse:
@@ -154,6 +156,29 @@ class TestCollapse:
     def test_seed_range_ends_accepted(self, seed):
         p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)
         assert ev.collapse_distribution(p, mc_samples=4, seed=seed).probs.shape == (4, 4)
+
+
+class TestConcreteCollapse:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, mc_samples", [(8, 64), (28, 1024)])
+    @pytest.mark.parametrize("lo, hi", [(-0.11, -0.01), (-6.0, 6.0)])
+    def test_matches_the_numpy_noise_bit_for_bit(self, lo, hi, n, mc_samples, seed):
+        # (-0.11, -0.01) is the log alpha span after 56 benchmark steps
+        p = sp.init_sampler("concrete", n=n, seed=seed)
+        p.arrays["log_alpha"][:] = np.random.default_rng(seed).uniform(lo, hi, n * n)
+        c = ev.collapse_distribution(p, mc_samples=mc_samples, seed=seed)
+        expect = concrete_collapse_numpy(p, mc_samples, seed)
+        np.testing.assert_array_equal(c.probs.reshape(-1), expect)
+
+    def test_monte_carlo_matches_the_zero_temperature_law(self):
+        # at zero temperature a binary concrete sample is Bernoulli(expit(log alpha))
+        draws = 4096
+        p = sp.init_sampler("concrete", n=8, seed=9)
+        p.arrays["log_alpha"][:] = np.random.default_rng(9).uniform(-3.0, 3.0, 64)
+        c = ev.collapse_distribution(p, mc_samples=draws, seed=9)
+        law = expit(p.arrays["log_alpha"])
+        se = np.sqrt(law * (1.0 - law) / draws)
+        assert np.all(np.abs(c.probs.reshape(-1) - law) < 4 * se)
 
 
 class TestEvalFixedMask:
