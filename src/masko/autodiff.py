@@ -119,11 +119,13 @@ class Tape:
     """Ordered record of operations for one reverse pass.
 
     The record holds only the operations whose output needs a gradient,
-    and the parameter leaves; ``backward`` may run once per tape.  The
-    record outlives ``backward`` and is freed with the tape: freeing it at
-    the end of every train step let the allocator return the memory to the
-    OS, and faulting it back in made the next step slower.
+    and the parameter leaves; ``backward`` may run once per tape.  Record
+    and tensors refer to each other, so the next tape's ``backward`` drops
+    the record, a step late: with that step's arrays above it in the heap,
+    the allocator reuses the memory rather than return it to the OS.
     """
+
+    _finished: "Tape | None" = None  # the last tape whose backward ran
 
     def __init__(self) -> None:
         self._ops: list[tuple[Tensor, Sequence[Tensor], Callable]] = []
@@ -174,11 +176,14 @@ class Tape:
             needs = tuple(t.requires_grad for t in inputs)
             for t, gin in zip(inputs, back(out.grad, needs)):
                 if gin is not None:
-                    t.grad = gin if t.grad is None else t.grad + gin
+                    t.grad = gin if t.grad is None else _sum_grads(t.grad, gin)
         for leaf in self._leaves:
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.data)
-        # Record kept: clearing it let glibc unmap it and the next step fault it back (vanilla-mlp p50 +19.5%).
+        last, Tape._finished = Tape._finished, self
+        if last is not None:
+            last._ops.clear()
+            last._leaves.clear()
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -466,6 +471,18 @@ def _resident_rows(x: np.ndarray, pad: int) -> np.ndarray | None:
     return None
 
 
+def _sum_grads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``; two interior views at the same place of :func:`_pad_rows`
+    buffers (a conv_resnet block input's gradients) add as whole buffers,
+    so the sum is such a view too and the next conv2d reads it in place."""
+    if a.ndim == 4 and a.shape == b.shape:
+        pad = (a.strides[2] // 8 - a.shape[3]) // 2
+        ra, rb = _resident_rows(a, pad), _resident_rows(b, pad)
+        if ra is not None and rb is not None:
+            return _interior(ra + rb, *a.shape[1:], pad)
+    return a + b
+
+
 def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-padded channel rows of a channel-major (C, B, H, W) array.
 
@@ -576,28 +593,24 @@ def conv2d(
     negative slope in (0, 1), and ``skip`` a tensor shaped like the result;
     each is optional, and ``slope`` and ``skip`` do not combine.
 
-    Each input channel lies zero-padded in one row (:func:`_pad_rows`),
-    and every kernel offset is one product on a shifted view of those
-    rows, taken panel by panel so that the accumulation stays in cache
-    (:func:`_correlate_rows`; a broadcast multiply when C_in = 1, as in a
-    1-channel input layer).  The bias, the leaky ReLU and the skip are
-    applied to each panel before it leaves the cache.  The result is the
-    interior view of zero-halo padded output rows, so a chain of layers
-    hands on its activations, skips and gradients with no pad or
-    compaction copy; any other input, such as the decoder's input image
-    or a gradient summed from two consumers, is copied into padded rows.
+    The correlation runs over zero-padded channel rows (:func:`_pad_rows`,
+    :func:`_correlate_rows`), with the bias, the leaky ReLU and the skip
+    in each column panel's epilogue.  The result is the interior view of
+    zero-halo padded output rows, so a chain of layers hands on its
+    activations, skips and gradients, summed ones included
+    (:func:`_sum_grads`), with no pad or compaction copy; any other
+    input, such as the decoder's input image, is copied into padded rows.
     A resident input or gradient has its halo checked first; a resident
     skip does not, as its halo only meets output halo, which is zeroed.
     The backward rebuilds the leaky mask as ``out > 0`` on the padded
     rows, which is exact because no skip is added after a leaky ReLU, and
-    multiplies the gradient by 1 or ``slope``.  The input gradient is the same correlation of the output gradient with the
-    kernel flipped and its channels swapped, so a 1-channel output layer's
-    input gradient takes the broadcast path too; the kernel gradient is
-    one GEMM per offset of the padded output gradient against the input
-    rows.  The bias gradient sums over batch, rows and columns in that
-    order, as summing the gradient of a broadcast (1, C, 1, 1) bias over
-    (B, C, H, W) does; the batch sum runs over the padded grid, whose halo
-    pixels are then dropped.
+    multiplies the gradient by 1 or ``slope``.  The input gradient is the
+    same correlation of the output gradient with the kernel flipped and
+    its channels swapped; the kernel gradient is one GEMM per offset of
+    the padded output gradient against the input rows.  The bias gradient
+    sums over batch, rows and columns in that order, as summing the
+    gradient of a broadcast (1, C, 1, 1) bias over (B, C, H, W) does; the
+    batch sum runs over the padded grid, whose halo pixels are then dropped.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")

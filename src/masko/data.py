@@ -150,6 +150,8 @@ def gen_gaussian_random_field(count: int, n: int, spectral_slope: float, seed: i
     """
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigError(f"field side must be a power of two, got {n}")
+    if count < 1 or not math.isfinite(spectral_slope):
+        raise ConfigError(f"need count >= 1 and a finite slope, got {count} and {spectral_slope}")
     rng = stream(seed, STREAM_DATA)
     k1 = np.fft.fftfreq(n) * n
     kk = np.sqrt(k1[:, None] ** 2 + k1[None, :] ** 2)
@@ -226,8 +228,8 @@ def gen_digits(count: int, n: int = 28, seed: int = 0) -> Dataset:
     a dark background, class structure, spatially correlated pixels.
     Pixel values lie in [0, 1].
     """
-    if n < 12:
-        raise ConfigError(f"digit canvas too small: {n}")
+    if n < 12 or count < 0:
+        raise ConfigError(f"need n >= 12 and count >= 0, got n={n} and count={count}")
     rng = stream(seed, STREAM_DATA)
     images = np.zeros((count, n, n))
     templates = {d: _glyph_points(d) for d in range(10)}

@@ -562,6 +562,34 @@ class TestConv2dResident:
         )
         assert np.array_equal(out.data, contiguous.data)
 
+    def test_two_resident_gradients_add_as_their_buffers(self):
+        # A block input's input gradient and skip gradient are both interior
+        # views of zero-halo rows: their sum is the same bits as the sum of
+        # the views, and the next conv2d reads it without a copy.
+        rng = np.random.default_rng(17)
+        tape = ad.Tape()
+        k = tape.constant(rng.standard_normal((4, 3, 3, 3)))
+        a, b = (ad.conv2d(tape.constant(rng.standard_normal((3, 2, 8, 8))), k).data for _ in range(2))
+        total = ad._sum_grads(a, b)
+        assert total.tobytes() == (a + b).tobytes()
+        assert ad._pad_rows(total, 1) is total.base
+
+    @pytest.mark.parametrize("halo", [1.0, float("nan")])
+    def test_sum_with_a_nonzero_halo_is_copied_before_use(self, halo):
+        # Laid out like a resident gradient, so the buffers are added, but
+        # the halo is not +0.0: the consumer's conv2d pads the sum afresh.
+        rng = np.random.default_rng(18)
+        tape = ad.Tape()
+        x, k = rng.standard_normal((3, 2, 8, 8)), rng.standard_normal((4, 3, 3, 3))
+        a = ad.conv2d(tape.constant(x), tape.constant(k)).data
+        b = foreign_view(rng.standard_normal((4, 2, 8, 8)), 1, halo)
+        total = ad._sum_grads(a, b)
+        assert total.base.shape == a.base.shape
+        assert total.tobytes() == (a + b).tobytes()
+        rows = ad._pad_rows(total, 1)
+        assert rows is not total.base
+        assert np.array_equal(ad._interior(rows, 2, 8, 8, 1), a + b)
+
     def test_negative_zero_halo_is_copied(self):
         # -0.0 equals 0.0 but is not the +0.0 of a copied pad: with a zero
         # input, kernel signs that make every product at the corner -0.0
@@ -648,6 +676,19 @@ class TestBackward:
         tape.backward(loss)
         with pytest.raises(ContractError, match="already"):
             tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_record_is_dropped_by_the_next_backward(self):
+        # A tape's record and its tensors refer to each other; the next
+        # tape's backward drops the record, and gradients stay readable.
+        first, second = ad.Tape(), ad.Tape()
+        x = first.param([1.0, 2.0])
+        first.backward((x * x).sum())
+        assert first._ops and first._leaves
+        y = second.param([3.0])
+        second.backward((y * y).sum())
+        assert not first._ops and not first._leaves
+        assert second._ops and second._leaves
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_gradient_linearity(self):

@@ -1,5 +1,6 @@
 """IDX parsing, synthetic datasets, PGM round trips."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -133,11 +134,46 @@ class TestGaussianRandomField:
             dt.gen_gaussian_random_field(4, 12, 2.0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: dt.gen_digits(-1),
+        lambda: dt.gen_gaussian_random_field(-2, 8, 2.0, 0),
+        lambda: dt.gen_gaussian_random_field(0, 8, 2.0, 0),
+        lambda: dt.gen_gaussian_random_field(3, 8, float("nan"), 0),
+        lambda: dt.gen_gaussian_random_field(3, 8, float("-inf"), 0),
+    ],
+    ids=["digits-negative-count", "field-negative-count", "field-no-images", "field-nan-slope",
+         "field-infinite-slope"],
+)
+def test_generator_rejects_count_or_slope(generate):
+    with pytest.raises(ConfigError):
+        generate()
+
+
+# sha256 of the float64 image bytes: the benchmark's 2,048 + 256 images at
+# n=28, and a small set at the smallest canvas, recorded at bfcf4fc's data
+# code.  Every process must generate the same test data.
+DIGIT_SHA256 = {
+    (2304, 28, 7): "4adbf9e0cab7545427551e2cbab4fc5e224b1a281acdc62bf54933acbb7dd083",
+    (40, 12, 3): "12c1ded1492299316adef1ad5df19f048ce2fadc3d1c916fc19cb6651a83a9e8",
+}
+
+
 class TestDigits:
     def test_deterministic(self):
         a = dt.gen_digits(12, n=28, seed=3)
         b = dt.gen_digits(12, n=28, seed=3)
         np.testing.assert_array_equal(a.images, b.images)
+
+    @pytest.mark.parametrize("count,n,seed", sorted(DIGIT_SHA256))
+    def test_images_match_recorded_sha256(self, count, n, seed):
+        images = dt.gen_digits(count, n=n, seed=seed).images
+        assert images.dtype == np.float64 and images.shape == (count, n, n)
+        assert hashlib.sha256(images.tobytes()).hexdigest() == DIGIT_SHA256[(count, n, seed)]
+
+    def test_zero_count_is_an_empty_set(self):
+        assert dt.gen_digits(0).images.shape == (0, 28, 28)
 
     def test_range_and_shape(self):
         ds = dt.gen_digits(20, n=28, seed=4)

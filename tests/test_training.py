@@ -10,6 +10,7 @@ import pytest
 from masko import checkpoint as ck
 from masko import samplers as sp
 from masko import training as tr
+from masko.autodiff import Tape
 from masko.errors import ConfigError, ContractError, EvaluationError
 from masko.rng import STREAM_LATENT, stream
 
@@ -337,16 +338,18 @@ class TestStepFootprint:
             tracemalloc.stop()
         assert peak < 18 * 2**20
 
-    # Dead tapes sit in reference cycles, so the number of GC-tracked objects
-    # a step leaves behind decides when the cyclic GC frees them, and with it
-    # the peak RSS.  The bounds are the counts measured at n=12, B=8.
+    # The tracked objects a step creates and leaves alive: its own tape's
+    # record (tensors, closures and their cells, input tuples), which the
+    # next step's backward drops.  Objects of the step before stay alive in
+    # ``before``, so a freed object's id cannot be taken by a new one.  The
+    # bounds are the counts measured at n=12, B=8.
     @pytest.mark.parametrize(
         "sampler,decoder,bound",
         [
-            ("vanilla", "mlp", 205),
-            ("independent", "mlp", 210),
-            ("hypernet", "mlp", 291),
-            ("concrete", "conv_resnet", 268),
+            ("vanilla", "mlp", 162),
+            ("independent", "mlp", 167),
+            ("hypernet", "mlp", 242),
+            ("concrete", "conv_resnet", 224),
         ],
     )
     def test_gc_tracked_allocations_per_step(self, sampler, decoder, bound):
@@ -354,12 +357,32 @@ class TestStepFootprint:
         gc.collect()
         gc.disable()
         try:
-            before = gc.get_count()[0]
+            before = gc.get_objects()
+            seen = {id(o) for o in before}
             step()
-            allocated = gc.get_count()[0] - before
+            kept = [o for o in gc.get_objects() if id(o) not in seen]
         finally:
             gc.enable()
-        assert allocated <= bound
+        kept = [o for o in kept if o is not before and o is not seen]
+        assert sum(isinstance(o, Tape) for o in kept) == 1
+        assert len(kept) <= bound
+
+    @pytest.mark.parametrize("sampler", sorted(sp.KINDS))
+    @pytest.mark.parametrize("decoder", ["mlp", "conv_resnet"])
+    def test_consecutive_steps_leave_at_most_one_tape_alive(self, sampler, decoder):
+        # A tape's record and tensors refer to each other; the next step's
+        # backward drops the record, so no finished tape waits for the GC.
+        step = warm_step(sampler, decoder, 12, 8)
+        gc.collect()
+        gc.disable()
+        try:
+            alive = []
+            for _ in range(10):
+                step()
+                alive.append(sum(isinstance(o, Tape) for o in gc.get_objects()))
+        finally:
+            gc.enable()
+        assert max(alive) <= 1, alive
 
 
 class TestSparsityPressure:
