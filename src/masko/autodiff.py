@@ -13,12 +13,12 @@ Memory-bound elementwise work is folded into the op that makes the array:
 ``matmul`` adds an optional bias column to its GEMM output in place, and
 ``clamp01`` applies an affine map before it clamps, so a dense layer's
 ``W x + b`` and the stretched hard threshold are one record each.
-``conv2d`` is a whole convolutional layer over channel-major (C, B, H, W)
-activations: its bias, leaky ReLU and skip add run in the epilogue of the
-correlation's column panels instead of as ops of their own.  Its output,
-and its input gradient, is the interior view of a buffer of zero-halo
-padded channel rows, which the next layer (or the backward) reads in place
-once it has checked that the halo is all zero.
+``conv2d`` is a whole convolutional layer over (C, B, H, W) activations:
+its bias, leaky ReLU and skip add run in the epilogue of the correlation's
+row panels instead of as ops of their own.  Its output, and its input
+gradient, is a strided view of a buffer of zero-halo padded pixel-major
+rows (a pixel's C channels side by side), which the next layer (or the
+backward) reads in place once it has checked that the halo is all zero.
 
 Design constraints: 64-bit floats everywhere, first-order gradients only,
 a scalar loss root, and single-threaded use of any one tape.  Parameters
@@ -38,11 +38,11 @@ from scipy.special import expit, ndtr
 from .errors import ContractError, DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Padded-row columns per conv2d panel.  Above 8192/3 columns numpy runs the
-# C_in = 1 broadcast multiply without copying through its 8192-element ufunc
-# buffer (4x faster); a 16-channel panel's rows, scratch and accumulator
-# (about 1.2 MB at 3072) still fit the 2 MiB L2 per core it was tuned on.
-PANEL = 3072
+# Padded rows per conv2d panel.  A 16-channel layer spends 3 x 128 bytes of
+# cache per row (input window, output, bias rows); on a 2 MiB L2 it ran at
+# the same speed from 2048 to 3072 rows, 40-50% slower at 4096, and 4%
+# slower at 1024, where the per-call cost of the GEMMs shows.
+PANEL = 2560
 
 
 class Tensor:
@@ -434,21 +434,21 @@ def tensor_mean(x: Tensor) -> Tensor:
 def _interior(rows: np.ndarray, nb: int, h: int, w: int, pad: int) -> np.ndarray:
     """The (C, B, H, W) view of the pixels inside a padded-row buffer's halo."""
     hp, wp = h + 2 * pad, w + 2 * pad
-    grid = rows[:, : nb * hp * wp].reshape(rows.shape[0], nb, hp, wp)
-    return grid[:, :, pad : pad + h, pad : pad + w]
+    grid = rows[: nb * hp * wp].reshape(nb, hp, wp, rows.shape[1])
+    return grid[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)
 
 
 def _halo(rows: np.ndarray, nb: int, h: int, w: int, pad: int) -> Iterable[np.ndarray]:
     """Views covering every element of a padded-row buffer outside its interior."""
     hp, wp = h + 2 * pad, w + 2 * pad
     n = nb * hp * wp
-    grid = rows[:, :n].reshape(rows.shape[0], nb, hp, wp)
-    band = grid[:, :, pad : pad + h]
-    yield grid[:, :, :pad]
-    yield grid[:, :, pad + h :]
-    yield band[..., :pad]
-    yield band[..., pad + w :]
-    yield rows[:, n:]
+    grid = rows[:n].reshape(nb, hp, wp, rows.shape[1])
+    band = grid[:, pad : pad + h]
+    yield grid[:, :pad]
+    yield grid[:, pad + h :]
+    yield band[:, :, :pad]
+    yield band[:, :, pad + w :]
+    yield rows[n:]
 
 
 def _resident_rows(x: np.ndarray, pad: int) -> np.ndarray | None:
@@ -458,14 +458,11 @@ def _resident_rows(x: np.ndarray, pad: int) -> np.ndarray | None:
     rows = x.base
     if (
         isinstance(rows, np.ndarray)
-        and rows.shape == (c, nb * hp * wp + 2 * pad * (wp + 1))
+        and rows.shape == (nb * hp * wp + 2 * pad * (wp + 1), c)
         and rows.dtype == x.dtype == np.float64
         and rows.flags.c_contiguous
-        # The stride of a length-1 axis addresses nothing.  Comparing the
-        # strides in two parts keeps one tuple fewer alive (TestStepFootprint).
-        and (c == 1 or x.strides[0] == rows.strides[0])
-        and x.strides[1:] == (hp * wp * 8, wp * 8, 8)
-        and x.ctypes.data == rows.ctypes.data + 8 * pad * (wp + 1)
+        and x.strides == (8, hp * wp * c * 8, wp * c * 8, c * 8)
+        and x.ctypes.data == rows.ctypes.data + 8 * c * pad * (wp + 1)
     ):
         return rows
     return None
@@ -475,8 +472,8 @@ def _sum_grads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b``; two interior views at the same place of :func:`_pad_rows`
     buffers (a conv_resnet block input's gradients) add as whole buffers,
     so the sum is such a view too and the next conv2d reads it in place."""
-    if a.ndim == 4 and a.shape == b.shape:
-        pad = (a.strides[2] // 8 - a.shape[3]) // 2
+    if a.ndim == 4 and a.shape == b.shape and a.size:
+        pad = (a.strides[2] // (8 * a.shape[0]) - a.shape[3]) // 2
         ra, rb = _resident_rows(a, pad), _resident_rows(b, pad)
         if ra is not None and rb is not None:
             return _interior(ra + rb, *a.shape[1:], pad)
@@ -484,13 +481,13 @@ def _sum_grads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-padded channel rows of a channel-major (C, B, H, W) array.
+    """Zero-padded pixel-major rows of a (C, B, H, W) array.
 
-    Returns a (C, B*(H+2p)*(W+2p) + 2p*(W+2p+1)) array: channel ``c`` of
-    image ``b`` lies at ``b*(H+2p)*(W+2p) + (i+p)*(W+2p) + (j+p)``, and
-    every other element (the halo, which includes the trailing zeros that
-    let every kernel offset read a full-length window) is +0.0.  When
-    ``x`` is the interior view of exactly such a buffer, as every
+    Returns a (B*(H+2p)*(W+2p) + 2p*(W+2p+1), C) array: the C channels of
+    pixel (i, j) of image ``b`` are row ``b*(H+2p)*(W+2p) + (i+p)*(W+2p) +
+    (j+p)``, and every other row (the halo, which includes the trailing
+    rows that let every kernel offset read a full-length window) is +0.0.
+    When ``x`` is the interior view of exactly such a buffer, as every
     ``conv2d`` output and input gradient is, that buffer is returned with
     no copy, but only after checking that its halo is all +0.0 bits;
     anything else is copied into a new zeroed buffer.
@@ -500,9 +497,17 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     if rows is not None and not any(v.view(np.int64).any() for v in _halo(rows, nb, h, w, pad)):
         return rows
     hp, wp = h + 2 * pad, w + 2 * pad
-    rows = np.zeros((c, nb * hp * wp + 2 * pad * (wp + 1)))
+    rows = np.zeros((nb * hp * wp + 2 * pad * (wp + 1), c))
     _interior(rows, nb, h, w, pad)[...] = x
     return rows
+
+
+def _channel_major(rows: np.ndarray) -> np.ndarray:
+    """A contiguous copy of ``rows.T``, made :data:`PANEL` rows at a time in cache."""
+    out = np.empty(rows.shape[::-1])
+    for a in range(0, rows.shape[0], PANEL):
+        out[:, a : a + PANEL] = rows[a : a + PANEL].T
+    return out
 
 
 def _correlate_rows(
@@ -515,64 +520,63 @@ def _correlate_rows(
     slope: float | None = None,
     skip: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cross-correlate padded channel rows with ``k`` into padded output rows.
+    """Cross-correlate padded rows with ``k`` into padded output rows.
 
-    Each kernel offset (di, dj) is one product of its (C_out, C_in) tap
-    with the rows shifted by ``di*(W+2p) + dj``, a view; the output of
-    pixel (i, j) belongs at the top-left corner of its window,
-    ``b*(H+2p)*(W+2p) + i*(W+2p) + j``, and is written ``p*(W+2p+1)``
-    columns further on, which is that pixel's place in the
-    :func:`_pad_rows` layout.  The result is such a (C_out, ...) buffer:
-    its interior holds the output and every halo element is +0.0, so the
-    next layer reads it, and the backward its gradient, without a copy.
-
-    The rows are walked in column panels of :data:`PANEL`: the first
-    offset of a panel writes the panel's slice of the output, and every
-    later one goes through a (C_out, PANEL) scratch added into it, so both
-    stay in cache across the offsets.  With one input channel the product
-    is a broadcast multiply of the (C_out, 1) tap with the (1, panel) row,
-    not a GEMM with inner dimension 1.  Either way each output element
-    sums the same products in the same offset order as one full-width
-    GEMM per offset.
-
-    The epilogue runs on the panel while it is still in cache: the
-    (C_out, 1) ``bias`` column is added, then the leaky ReLU of ``slope``
-    (0 < slope < 1) is ``max(v, slope*v)``, which equals
-    ``where(v > 0, v, slope*v)`` bit for bit, and then the same columns
-    of the ``skip`` rows (a buffer in the same layout) are added.  Last,
-    the panel's halo columns, which hold values of no pixel, are set to
-    +0.0; the columns before the first panel and after the last one are
-    zeroed once at the end.
+    Pixel (i, j)'s output sums, over kernel offsets (di, dj), the (C_out,
+    C_in) tap times the row ``di*(W+2p) + dj`` after the pixel's window
+    corner, and is written ``p*(W+2p+1)`` rows further on, its place in
+    the :func:`_pad_rows` layout.  In that layout an offset's window over
+    a panel of :data:`PANEL` rows, and the output panel, are contiguous
+    blocks, so each offset adds its GEMM into the panel inside BLAS:
+    ``dgemm`` with beta 0 for the first offset and 1 after it.  Below 8
+    output channels, OpenBLAS's dgemm is slow for a (C_out, panel) output
+    (a quarter of numpy's speed at C_out = 4) and rounds a one-row product
+    differently, so those layers sum numpy's products on a channel-major
+    copy of the window and copy the sum into the panel.  Each panel's
+    epilogue adds ``bias``, takes the leaky ReLU as ``max(v, slope*v)``
+    (the bits of ``where(v > 0, v, slope*v)`` for 0 < slope < 1) and adds
+    the ``skip`` rows; the halo is zeroed last.  Measurements: CHANGES.md.
     """
     co, ci, kh, kw = k.shape
     pad = kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
     n = nb * hp * wp
     lead = pad * (wp + 1)
-    taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
-    product = np.multiply if ci == 1 else np.matmul
-    out = np.empty((co, n + 2 * lead))
-    halo = np.ones(n + 2 * lead, dtype=bool)
-    _interior(halo[None], nb, h, w, pad)[...] = False
-    scratch = np.empty((co, min(PANEL, n)))
+    shifts = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    out = np.empty((n + 2 * lead, co))
+    scratch = np.empty((min(PANEL, n), co))
+    if co < 8:
+        taps = [k[:, :, di, dj] for di in range(kh) for dj in range(kw)]
+        product = np.multiply if ci == 1 else np.matmul
+        sums = np.empty((2, co, min(PANEL, n)))
+    else:
+        from scipy.linalg.blas import dgemm  # here, so that MLP runs never pay its import
+        taps = [np.asfortranarray(k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
+    if bias is not None:
+        bias_rows = np.tile(bias, (min(PANEL, n), 1))
     for a in range(0, n, PANEL):
         b = min(a + PANEL, n)
-        panel, term = out[:, lead + a : lead + b], scratch[:, : b - a]
-        s, kk = taps[0]
-        product(kk, rows[:, s + a : s + b], out=panel)
-        for s, kk in taps[1:]:
-            product(kk, rows[:, s + a : s + b], out=term)
-            panel += term
+        panel, term = out[lead + a : lead + b], scratch[: b - a]
+        if co < 8:
+            acc, term_cm = sums[:, :, : b - a]
+            window = _channel_major(rows[a : b + shifts[-1]])
+            product(taps[0], window[:, : b - a], out=acc)
+            for s, kk in zip(shifts[1:], taps[1:]):
+                product(kk, window[:, s : s + b - a], out=term_cm)
+                acc += term_cm
+            panel[...] = acc.T
+        else:
+            for s, kk in zip(shifts, taps):
+                dgemm(1.0, kk, rows[s + a : s + b].T, float(s > 0), panel.T, overwrite_c=1)
         if bias is not None:
-            panel += bias
+            panel += bias_rows[: b - a]
         if slope is not None:
             np.multiply(panel, slope, out=term)
             np.maximum(panel, term, out=panel)
         if skip is not None:
-            panel += skip[:, lead + a : lead + b]
-        np.copyto(panel, 0.0, where=halo[lead + a : lead + b])
-    out[:, :lead] = 0.0
-    out[:, lead + n :] = 0.0
+            panel += skip[lead + a : lead + b]
+    for v in _halo(out, nb, h, w, pad):
+        v[...] = 0.0
     return out
 
 
@@ -586,31 +590,20 @@ def conv2d(
 ) -> Tensor:
     """One convolutional layer: ``skip + leaky(conv(x, k) + bias)``.
 
-    Activations are channel-major: ``x`` is (C_in, B, H, W) and the
-    result (C_out, B, H, W).  ``k`` is (C_out, C_in, kh, kw) with odd
-    square spatial size, and the 2-D cross-correlation is zero-padded to
-    keep H x W.  ``bias`` is a (C_out,) tensor, ``slope`` the leaky ReLU's
-    negative slope in (0, 1), and ``skip`` a tensor shaped like the result;
-    each is optional, and ``slope`` and ``skip`` do not combine.
+    ``x`` is (C_in, B, H, W) and the result (C_out, B, H, W).  ``k`` is
+    (C_out, C_in, kh, kw) with odd square spatial size, and the 2-D
+    cross-correlation is zero-padded to keep H x W.  ``bias`` is a (C_out,)
+    tensor, ``slope`` the leaky ReLU's negative slope in (0, 1), and
+    ``skip`` a tensor shaped like the result; each is optional, and
+    ``slope`` and ``skip`` do not combine.
 
-    The correlation runs over zero-padded channel rows (:func:`_pad_rows`,
-    :func:`_correlate_rows`), with the bias, the leaky ReLU and the skip
-    in each column panel's epilogue.  The result is the interior view of
-    zero-halo padded output rows, so a chain of layers hands on its
-    activations, skips and gradients, summed ones included
-    (:func:`_sum_grads`), with no pad or compaction copy; any other
-    input, such as the decoder's input image, is copied into padded rows.
-    A resident input or gradient has its halo checked first; a resident
-    skip does not, as its halo only meets output halo, which is zeroed.
-    The backward rebuilds the leaky mask as ``out > 0`` on the padded
-    rows, which is exact because no skip is added after a leaky ReLU, and
-    multiplies the gradient by 1 or ``slope``.  The input gradient is the
-    same correlation of the output gradient with the kernel flipped and
-    its channels swapped; the kernel gradient is one GEMM per offset of
-    the padded output gradient against the input rows.  The bias gradient
-    sums over batch, rows and columns in that order, as summing the
-    gradient of a broadcast (1, C, 1, 1) bias over (B, C, H, W) does; the
-    batch sum runs over the padded grid, whose halo pixels are then dropped.
+    The result is a strided view of the pixel-major padded rows that
+    :func:`_correlate_rows` fills, so the next layer, and the backward its
+    gradient, reads them in place once :func:`_pad_rows` has checked their
+    halo.  The backward rebuilds the leaky mask as ``out > 0``, which is
+    exact because no skip is added after a leaky ReLU, and the input
+    gradient is the same correlation with the kernel flipped and its
+    channels swapped.  Measurements: CHANGES.md.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
@@ -640,8 +633,8 @@ def conv2d(
         skip_rows = _resident_rows(skip.data, pad)
         if skip_rows is None:
             skip_rows = _pad_rows(skip.data, pad)
-    bias_col = None if bias is None else bias.data[:, None]
-    out_rows = _correlate_rows(rows, k.data, nb, h, w, bias_col, slope, skip_rows)
+    bias_row = None if bias is None else bias.data
+    out_rows = _correlate_rows(rows, k.data, nb, h, w, bias_row, slope, skip_rows)
     inputs = (x, k) + tuple(t for t in (bias, skip) if t is not None)
 
     def back(g, needs):
@@ -655,26 +648,33 @@ def conv2d(
         hp, wp = h + 2 * pad, w + 2 * pad
         n = nb * hp * wp
         gx = None
-        gk = None
         if needs[0]:
             flipped = k.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gx = _interior(_correlate_rows(grows, flipped, nb, h, w), nb, h, w, pad)
+        gk = None
         if needs[1]:
-            # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at
-            # the top-left corner of window (i, j) and zeros everywhere else.
-            g_corner = grows[:, pad * (wp + 1) : pad * (wp + 1) + n]
+            # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at the
+            # top-left corner of window (i, j) and zeros everywhere else.
+            g_corner, x_rows = grows[pad * (wp + 1) : pad * (wp + 1) + n], rows
+            if min(k.data.shape[:2]) < 8:
+                # A one-channel operand makes the product numpy's gemv, and
+                # OpenBLAS's small-matrix kernels round narrow products of
+                # pixel-major operands in another order: copy them.
+                g_corner, x_rows = _channel_major(g_corner).T, _channel_major(rows).T
             gk = np.empty_like(k.data)
             for di in range(kh):
                 for dj in range(kw):
                     s = di * wp + dj
-                    gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
+                    gk[:, :, di, dj] = g_corner.T @ x_rows[s : s + n]
         grads = [gx, gk]
         if bias is not None:
             if needs[2]:
-                # Over the batch on the padded grid, one image after another,
-                # then over the interior's rows and then its columns.
-                per_pixel = grows[:, :n].reshape(-1, nb, hp, wp).sum(axis=1)
-                grads.append(per_pixel[:, pad : pad + h, pad : pad + w].sum(axis=1).sum(axis=1))
+                # Over the batch, one image after another, then over the
+                # interior's rows, and then over its columns as contiguous
+                # rows: numpy's order for a broadcast (C, 1, 1, 1) bias.
+                per_pixel = grows[:n].reshape(nb, hp, wp, -1).sum(axis=0)
+                per_row = per_pixel[pad : pad + h, pad : pad + w].sum(axis=0)
+                grads.append(np.ascontiguousarray(per_row.T).sum(axis=1))
             else:
                 grads.append(None)
         if skip is not None:

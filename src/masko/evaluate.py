@@ -61,9 +61,9 @@ def collapse_distribution(
     the zero-temperature indicator over ``mc_samples`` draws from the
     evaluation stream of ``seed``, an integer in [0, 2**64).
     """
-    if not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
+    if isinstance(mc_samples, bool) or not isinstance(mc_samples, (int, np.integer)) or mc_samples < 1:
         raise ParameterError(f"mc_samples must be an integer >= 1, got {mc_samples!r}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for name, arr in params.arrays.items():
         if not np.isfinite(arr).all():
@@ -82,7 +82,7 @@ def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: i
     ``batch`` images at a time.  Deterministic: fixed batching order,
     single-threaded summation.
     """
-    if not isinstance(batch, (int, np.integer)) or batch < 1:
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
         raise ParameterError(f"batch must be an integer >= 1, got {batch!r}")
     mask = np.asarray(mask, dtype=np.float64)
     uniq = np.unique(mask)

@@ -152,6 +152,21 @@ class TestCollapse:
         with pytest.raises(ParameterError, match="seed must be an integer"):
             ev.collapse_distribution(p, mc_samples=4, seed=seed)
 
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("hypernet", "mc_samples"), ("concrete", "mc_samples"), ("hypernet", "seed"), ("concrete", "seed"),
+         (None, "batch")],
+    )
+    def test_bool_count_rejected(self, kind, name):
+        # A bool is an int: True was read as 1 draw, seed 1 or 1 image a batch.
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            if kind is None:
+                dec = md.init_decoder("mlp", n=4, hidden=4, rng=np.random.default_rng(0))
+                ev.eval_fixed_mask(np.ones((4, 4)), dec, np.zeros((2, 4, 4)), batch=True)
+            else:
+                p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+                ev.collapse_distribution(p, **{"mc_samples": 4, name: True})
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_seed_range_ends_accepted(self, seed):
         p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)

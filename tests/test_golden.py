@@ -14,9 +14,14 @@ behaviour is known to be unchanged.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import masko
 from masko.data import gen_gaussian_random_field
 from masko.evaluate import collapse_distribution, eval_fixed_mask
 from masko.training import TrainConfig, train_loop
@@ -78,3 +83,27 @@ def run_digests(sampler: str, decoder: str, out_dir) -> tuple[str, str]:
 @pytest.mark.parametrize("sampler,decoder", sorted(GOLDEN))
 def test_digests_unchanged(sampler, decoder, tmp_path):
     assert run_digests(sampler, decoder, tmp_path) == GOLDEN[(sampler, decoder)]
+
+
+def test_conv_digests_at_one_blas_thread(tmp_path):
+    # The tests run at the machine's BLAS thread count and the benchmark at
+    # one, and conv2d calls two OpenBLAS builds (numpy's and scipy's).  One
+    # process checks the 4 conv_resnet pairs with both builds at 1 thread.
+    script = (
+        "import pathlib, sys\n"
+        "from test_golden import GOLDEN, run_digests\n"
+        "for sampler, decoder in sorted(GOLDEN):\n"
+        "    if decoder == 'conv_resnet':\n"
+        "        out = pathlib.Path(sys.argv[1], sampler)\n"
+        "        out.mkdir()\n"
+        "        print(sampler, run_digests(sampler, decoder, out) == GOLDEN[(sampler, decoder)])\n"
+    )
+    path = os.pathsep.join([str(Path(masko.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        word for sampler in ("concrete", "hypernet", "independent", "vanilla") for word in (sampler, "True")
+    ]

@@ -11,7 +11,7 @@ from masko import samplers as sp
 from masko.distributions import StretchConfig
 from masko.errors import DimensionError
 
-from oracles import expected_l0, grad_check
+from oracles import conv2d_channel_major, expected_l0, grad_check
 
 CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
@@ -110,6 +110,44 @@ class TestDecoderForward:
         dec = md.init_decoder("mlp", n=3, hidden=4)
         with pytest.raises(DimensionError):
             md.decoder_apply(dec, np.zeros((8, 2)))
+
+
+class TestConvResnetBits:
+    """conv2d over pixel-major rows against the channel-major oracle, bit for
+    bit, at the benchmark's decoder: n=28, 16 filters, nonzero biases."""
+
+    def run(self, conv, monkeypatch, nb, grads):
+        rng = np.random.default_rng(nb)
+        dec = md.init_decoder("conv_resnet", n=28, filters=16, rng=rng)
+        for name, arr in dec.arrays.items():
+            if name.startswith("b"):
+                arr[:] = rng.standard_normal(arr.shape) * 0.1
+        x = rng.random((28 * 28, nb)) * (rng.random((28 * 28, nb)) < 0.5)  # half the pixels masked
+        g = rng.standard_normal(x.shape)
+        monkeypatch.setattr(ad, "conv2d", conv)
+        tape = ad.Tape()
+        bind = tape.param if grads else tape.constant
+        xt = bind(x)
+        leaves = {name: bind(arr) for name, arr in dec.arrays.items()}
+        out, _ = md.decoder_forward(tape, dec, xt, leaves)
+        if grads:
+            tape.backward((out * tape.constant(g)).sum())
+        monkeypatch.undo()
+        found = {"out": out.data}
+        if grads:
+            found["x"] = xt.grad
+            found.update((name, leaf.grad) for name, leaf in leaves.items())
+        return found
+
+    @pytest.mark.parametrize("nb,grads", [(16, True), (256, False)])
+    def test_six_layers_match_the_channel_major_oracle(self, monkeypatch, nb, grads):
+        # The train step's batch with every gradient, and the eval batch's
+        # forward, which spans 90 panels.
+        new = self.run(ad.conv2d, monkeypatch, nb, grads)
+        old = self.run(conv2d_channel_major, monkeypatch, nb, grads)
+        assert new.keys() == old.keys()
+        for name in new:
+            assert new[name].tobytes() == old[name].tobytes(), name
 
 
 class TestObjective:
