@@ -38,11 +38,7 @@ from scipy.special import expit, ndtr
 from .errors import ContractError, DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Padded rows per conv2d panel.  A 16-channel layer spends 3 x 128 bytes of
-# cache per row (input window, output, bias rows); on a 2 MiB L2 it ran at
-# the same speed from 2048 to 3072 rows, 40-50% slower at 4096, and 4%
-# slower at 1024, where the per-call cost of the GEMMs shows.
-PANEL = 2560
+PANEL = 2560  # padded rows per conv2d panel, sized for a 2 MiB L2 (CHANGES.md)
 
 
 class Tensor:
@@ -601,9 +597,11 @@ def conv2d(
     :func:`_correlate_rows` fills, so the next layer, and the backward its
     gradient, reads them in place once :func:`_pad_rows` has checked their
     halo.  The backward rebuilds the leaky mask as ``out > 0``, which is
-    exact because no skip is added after a leaky ReLU, and the input
-    gradient is the same correlation with the kernel flipped and its
-    channels swapped.  Measurements: CHANGES.md.
+    exact because no skip is added after a leaky ReLU; the input gradient
+    is the same correlation with the kernel flipped and its channels
+    swapped, and the kernel gradient adds up each offset's products over
+    :data:`PANEL` rows at a time, which stay in cache (all rows in one
+    product below 8 channels on a side).  Measurements: CHANGES.md.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
@@ -655,17 +653,19 @@ def conv2d(
         if needs[1]:
             # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at the
             # top-left corner of window (i, j) and zeros everywhere else.
-            g_corner, x_rows = grows[pad * (wp + 1) : pad * (wp + 1) + n], rows
+            g_corner, x_rows, step = grows[pad * (wp + 1) : pad * (wp + 1) + n], rows, PANEL
             if min(k.data.shape[:2]) < 8:
                 # A one-channel operand makes the product numpy's gemv, and
                 # OpenBLAS's small-matrix kernels round narrow products of
-                # pixel-major operands in another order: copy them.
-                g_corner, x_rows = _channel_major(g_corner).T, _channel_major(rows).T
-            gk = np.empty_like(k.data)
-            for di in range(kh):
-                for dj in range(kw):
-                    s = di * wp + dj
-                    gk[:, :, di, dj] = g_corner.T @ x_rows[s : s + n]
+                # pixel-major operands in another order: copy them, one panel.
+                g_corner, x_rows, step = _channel_major(g_corner).T, _channel_major(rows).T, n
+            gk = np.zeros_like(k.data)
+            for a in range(0, n, step):
+                b = min(a + step, n)
+                for di in range(kh):
+                    for dj in range(kw):
+                        s = di * wp + dj
+                        gk[:, :, di, dj] += g_corner[a:b].T @ x_rows[s + a : s + b]
         grads = [gx, gk]
         if bias is not None:
             if needs[2]:

@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.special import ndtr
 
+from masko import autodiff
 from masko.autodiff import Tape, Tensor
 from masko.data import read_exact
 from masko.distributions import StretchConfig
@@ -311,11 +312,25 @@ def conv2d_channel_major(x: Tensor, k: Tensor, bias=None, *, slope=None, skip=No
             # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at
             # the top-left corner of window (i, j) and zeros everywhere else.
             g_corner = grows[:, pad * (wp + 1) : pad * (wp + 1) + n]
-            gk = np.empty_like(k.data)
-            for di in range(kh):
-                for dj in range(kw):
-                    s = di * wp + dj
-                    gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
+            gk = np.zeros_like(k.data)
+            if min(k.data.shape[:2]) < 8:
+                for di in range(kh):
+                    for dj in range(kw):
+                        s = di * wp + dj
+                        gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
+            else:
+                # With 8 or more channels on both sides, each offset's sum
+                # adds the products of ``autodiff.PANEL`` rows at a time, in
+                # order, each made on pixel-major copies of both operands
+                # (OpenBLAS rounds a product of that K differently when its
+                # operands are channel-major).
+                g_pixels, x_pixels = g_corner.T.copy(), rows.T.copy()
+                for a in range(0, n, autodiff.PANEL):
+                    b = min(a + autodiff.PANEL, n)
+                    for di in range(kh):
+                        for dj in range(kw):
+                            s = di * wp + dj
+                            gk[:, :, di, dj] += g_pixels[a:b].T @ x_pixels[s + a : s + b]
         grads = [gx, gk]
         if bias is not None:
             if needs[2]:

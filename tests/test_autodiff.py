@@ -319,21 +319,27 @@ class TestConv2d:
         "x_shape,k_shape",
         [
             ((16, 1, 28, 28), (16, 1, 3, 3)),  # input conv: K = 1 GEMMs, numpy products backward
-            ((5, 16, 28, 28), (16, 16, 3, 3)),
+            ((5, 16, 28, 28), (16, 16, 3, 3)),  # residual-block conv: kernel gradient in panels
             ((5, 16, 28, 28), (1, 16, 3, 3)),  # output conv: numpy products, K = 1 GEMMs backward
         ],
     )
     def test_panels_equal_one_piece_accumulation(self, x_shape, k_shape):
         # The padded rows span several panels and end in a short one; the
         # panels must not move a bit against full-width per-offset GEMMs
-        # over channel-major padded rows, summed in numpy.
+        # over channel-major padded rows, summed in numpy.  The kernel
+        # gradient of a layer with 8 or more channels on both sides is the
+        # exception: it sums each offset's products over the same panels.
         nb, _, h, w = x_shape
-        assert nb * (h + 2) * (w + 2) > ad.PANEL and nb * (h + 2) * (w + 2) % ad.PANEL != 0
+        wp, n = w + 2, nb * (h + 2) * (w + 2)
+        assert n > ad.PANEL and n % ad.PANEL != 0
+
+        def padded(a):
+            rows = np.zeros((a.shape[1], n + 2 * (wp + 1)))
+            rows[:, :n].reshape(-1, nb, h + 2, wp)[:, :, 1:-1, 1:-1] = cm(a)
+            return rows
 
         def one_piece(x, k):
-            wp, n = w + 2, nb * (h + 2) * (w + 2)
-            rows = np.zeros((x.shape[1], n + 2 * (wp + 1)))
-            rows[:, :n].reshape(-1, nb, h + 2, wp)[:, :, 1:-1, 1:-1] = cm(x)
+            rows = padded(x)
             taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(3) for dj in range(3)]
             acc = taps[0][1] @ rows[:, taps[0][0] : taps[0][0] + n]
             for s, kk in taps[1:]:
@@ -341,17 +347,35 @@ class TestConv2d:
             grid = acc.reshape(k.shape[0], nb, h + 2, w + 2)[:, :, :h, :w]
             return grid.transpose(1, 0, 2, 3)
 
+        def kernel_grad(x, g, panel):
+            # Each offset's products over ``panel`` rows at a time, added in
+            # order; a panelled product takes pixel-major operands, as conv2d
+            # makes them, and a whole-K one channel-major copies.
+            x_rows, g_rows = padded(x), padded(g)[:, wp + 1 : wp + 1 + n]
+            if panel < n:
+                x_rows, g_rows = x_rows.T.copy().T, g_rows.T.copy().T
+            gk = np.empty(k.shape)
+            for a in range(0, n, panel):
+                b = min(a + panel, n)
+                for di in range(3):
+                    for dj in range(3):
+                        s = di * wp + dj
+                        term = g_rows[:, a:b] @ x_rows[:, s + a : s + b].T
+                        gk[:, :, di, dj] = term if a == 0 else gk[:, :, di, dj] + term
+            return gk
+
         rng = np.random.default_rng(zlib.crc32(repr((x_shape, k_shape)).encode()))
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal(k_shape)
         g = rng.standard_normal((nb, k_shape[0], h, w))
         tape = ad.Tape()
-        xt = tape.param(cm(x))
-        out = ad.conv2d(xt, tape.constant(k))
+        xt, kt = tape.param(cm(x)), tape.param(k)
+        out = ad.conv2d(xt, kt)
         tape.backward((out * tape.constant(cm(g))).sum())
         assert np.array_equal(cm(out.data), one_piece(x, k))
         flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert np.array_equal(cm(xt.grad), one_piece(g, flipped))
+        assert kt.grad.tobytes() == kernel_grad(x, g, ad.PANEL if min(k_shape[:2]) >= 8 else n).tobytes()
 
     @pytest.mark.parametrize("size", [3, 1])
     @pytest.mark.parametrize("wrt", ["x", "k"])
@@ -368,6 +392,20 @@ class TestConv2d:
             return (ad.conv2d(xt, kt) * tape.constant(weights)).sum()
 
         assert grad_check(f, x if wrt == "x" else k, step=1e-5) < 1e-4
+
+    def test_panelled_kernel_gradient_matches_central_differences(self):
+        # 8 channels on both sides take the kernel gradient in panels; the
+        # 3 x 30 x 30 = 2,700 padded rows make one full panel and a short one.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 3, 28, 28))
+        k = rng.standard_normal((8, 8, 3, 3))
+        weights = rng.standard_normal((8, 3, 28, 28))
+        assert ad.PANEL < 3 * 30 * 30 < 2 * ad.PANEL
+
+        def f(t):
+            return (ad.conv2d(t.tape.constant(x), t.reshape(k.shape)) * t.tape.constant(weights)).sum()
+
+        assert grad_check(f, k, step=1e-5, max_coords=12) < 1e-6
 
     def test_forward_and_backward_allocate_no_im2col_matrix(self):
         # A 3x3 im2col matrix alone is 9 x.nbytes; the padded-row GEMMs

@@ -8,9 +8,11 @@ keep behaviour must keep these digests.
 
 The digests depend on the platform: a different BLAS, CPU or numpy build
 may sum in a different order and change the low bits.  They were recorded
-on x86-64 with OpenBLAS and numpy 2.4, and hold at 1 and at 2 BLAS
-threads.  If only the platform changed, re-record them from a commit whose
-behaviour is known to be unchanged.
+on x86-64 with OpenBLAS and numpy 2.4.  Bytes are fixed at a given BLAS
+thread count.  These digests hold at 1 and at 2 threads, but only because
+of their small shapes: at n=28 the MLP runs' products with K = 784
+differ between the two counts.  If only the platform changed, re-record
+them from a commit whose behaviour is known to be unchanged.
 """
 
 import hashlib
