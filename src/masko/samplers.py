@@ -143,19 +143,13 @@ def _hypernet_head(
     (n*n, d, B) reshape of F = w2 @ h + b2 and constant draws z (d, B);
     the norm is None when ``norm`` is False.
 
-    The contraction is bilinear in z and h, so it is one GEMM against
-    their column-wise Khatri-Rao product (Kolda & Bader, 2009):
-    ``w2.reshape(n*n, d*k) @ (z[:, None] * h[None]).reshape(d*k, B)`` plus
-    ``b2.reshape(n*n, d) @ z``, on views of w2 and b2.  F itself is never
-    stored: the norm's forward makes it one pixel block at a time by one
-    GEMM and reduces the block in cache; the backward recomputes each
-    block, writes its rows of dF = 2 * (g_sq * F) + g_c * z, dw2 and db2,
-    and ends with one ``w2.T @ dF`` (Chen et al., 2016).  The norm sums in
-    the order of the generic chain (matmul, add, reshape, mul, sum, sqrt).
-    A short tail joins the last block, keeping every GEMM above OpenBLAS's
-    1e6-multiply-add small-matrix kernels, so block rows equal the whole
-    product's (except a block's last rows when B > 139 is not a multiple
-    of 8).  The norm's rule runs first and builds dF from both gradients.
+    The contraction is one GEMM against the column-wise Khatri-Rao product
+    of z and h (Kolda & Bader, 2009), on views of w2 and b2.  F itself is
+    never stored: the norm's forward and the backward remake it one pixel
+    block at a time (Chen et al., 2016), and a short tail joins the last
+    block so that no GEMM drops to OpenBLAS's small-matrix kernels.  The
+    norm sums in the order of the generic chain (matmul, add, reshape, mul,
+    sum, sqrt); its rule runs first and builds dF from both gradients.
     """
     d, nb = z.shape
     m, k = w2.data.shape[0] // d, h.data.shape[0]

@@ -14,14 +14,15 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 from scipy.special import ndtr
 
 from masko import autodiff
 from masko.autodiff import Tape, Tensor
-from masko.data import read_exact
+from masko.data import Dataset, _glyph_points, read_exact
 from masko.distributions import StretchConfig
-from masko.errors import ContractError, EvaluationError, FormatError, ParameterError
-from masko.rng import STREAM_EVAL, stream
+from masko.errors import ConfigError, ContractError, EvaluationError, FormatError, ParameterError
+from masko.rng import STREAM_DATA, STREAM_EVAL, stream
 from masko.samplers import SamplerParams
 from masko.training import METRICS_HEADER, EpochMetrics
 
@@ -345,3 +346,42 @@ def conv2d_channel_major(x: Tensor, k: Tensor, bias=None, *, slope=None, skip=No
         return grads
 
     return x.tape.record(_interior(out_rows, nb, h, w, pad), inputs, back)
+
+
+def gen_digits_per_image(count: int, n: int = 28, seed: int = 0) -> Dataset:
+    """``masko.data.gen_digits`` as one loop over the images: seven scalar
+    draws, four ``np.add.at`` splats and one ``scipy.ndimage.gaussian_filter``
+    per image.  Its labels wrap after image 255 (``np.uint8`` counts modulo
+    256 before the ``% 10``)."""
+    if n < 12 or count < 0:
+        raise ConfigError(f"need n >= 12 and count >= 0, got n={n} and count={count}")
+    rng = stream(seed, STREAM_DATA)
+    images = np.zeros((count, n, n))
+    templates = {d: _glyph_points(d) for d in range(10)}
+    for i in range(count):
+        pts = templates[i % 10] - 0.5
+        theta = rng.uniform(-0.22, 0.22)
+        scale = rng.uniform(0.85, 1.1, size=2)
+        shear = rng.uniform(-0.12, 0.12)
+        rot = np.array(
+            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        )
+        aff = rot @ np.array([[scale[0], shear], [0.0, scale[1]]])
+        pts = pts @ aff.T + 0.5 + rng.uniform(-0.05, 0.05, size=2)
+        px = pts[:, 0] * (n - 1)
+        py = pts[:, 1] * (n - 1)
+        j0 = np.clip(np.floor(px).astype(int), 0, n - 2)
+        i0 = np.clip(np.floor(py).astype(int), 0, n - 2)
+        fx = np.clip(px - j0, 0.0, 1.0)
+        fy = np.clip(py - i0, 0.0, 1.0)
+        canvas = images[i]
+        np.add.at(canvas, (i0, j0), (1 - fx) * (1 - fy))
+        np.add.at(canvas, (i0, j0 + 1), fx * (1 - fy))
+        np.add.at(canvas, (i0 + 1, j0), (1 - fx) * fy)
+        np.add.at(canvas, (i0 + 1, j0 + 1), fx * fy)
+        blurred = gaussian_filter(canvas, sigma=rng.uniform(0.65, 0.95) * n / 28.0)
+        peak = blurred.max()
+        if peak > 0:
+            blurred = blurred / peak
+        images[i] = np.clip(blurred * 1.6, 0.0, 1.0)
+    return Dataset(images=images, labels=np.arange(count, dtype=np.uint8) % 10)

@@ -376,6 +376,16 @@ class TestGenDataCommand:
         assert train.count == 25 and test.count == 5 and train.n == 14
         assert train.labels is not None
 
+    def test_digit_labels_past_image_255(self, tmp_path):
+        assert cli_main(
+            ["gen-data", "--kind", "digits", "--count", "300", "--side", "12",
+             "--test-fraction", "0.1", "--out", str(tmp_path)]
+        ) == 0
+        train = load_idx(tmp_path / "train-images.idx", tmp_path / "train-labels.idx")
+        test = load_idx(tmp_path / "test-images.idx", tmp_path / "test-labels.idx")
+        assert train.count == 270 and test.count == 30
+        np.testing.assert_array_equal(np.concatenate([train.labels, test.labels]), np.arange(300) % 10)
+
     def test_field_files_float(self, tmp_path):
         assert cli_main(
             ["gen-data", "--kind", "field", "--count", "12", "--side", "16",

@@ -1,15 +1,21 @@
 """IDX parsing, synthetic datasets, PGM round trips."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+import masko
 from masko import data as dt
 from masko.errors import ConfigError, FormatError
 
-from oracles import read_pgm
+from oracles import gen_digits_per_image, read_pgm
 
 
 def write_idx_fixture(path, pixels):
@@ -190,9 +196,56 @@ class TestDigits:
         assert center > 5 * border
 
     def test_labels_cycle(self):
-        ds = dt.gen_digits(25, n=28, seed=6)
-        np.testing.assert_array_equal(ds.labels[:10], np.arange(10))
-        np.testing.assert_array_equal(ds.labels[10:20], np.arange(10))
+        # past image 255 too, where a u8 count would wrap before the % 10
+        labels = dt.gen_digits(300, n=12, seed=6).labels
+        assert labels.dtype == np.uint8
+        np.testing.assert_array_equal(labels, np.arange(300) % 10)
+
+    # n = 12, 13, 28, 29 and 64 give kernel radii 1 to 9; BLUR_CHUNK + 1
+    # images make a full blur chunk and a one-image tail.
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 + 5])
+    @pytest.mark.parametrize("n", [12, 13, 28, 29, 64])
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 11, dt.BLUR_CHUNK + 1])
+    def test_images_equal_the_per_image_loop(self, count, n, seed):
+        new = dt.gen_digits(count, n=n, seed=seed).images
+        old = gen_digits_per_image(count, n=n, seed=seed).images
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+class TestBlur:
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "non-negative"])
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_equals_scipy_reflect_gaussian(self, n, signed):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((24, n, n)) if signed else rng.random((24, n, n))
+        # the digits' widths and past them, so one call mixes kernel radii
+        # (1 to 3 at n=12, 3 to 16 at n=64)
+        sigma = rng.uniform(0.3, 1.7, size=24) * n / 28.0
+        assert len(set((4.0 * sigma + 0.5).astype(int))) >= 3
+        out = dt._blur(x.copy(), sigma)
+        for i in range(24):
+            assert out[i].tobytes() == gaussian_filter(x[i], sigma[i], mode="reflect").tobytes(), i
+
+
+def test_program_runs_without_scipy_ndimage():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import masko.cli\n"
+        "from masko import training as tr\n"
+        "from masko.data import gen_digits\n"
+        "from masko.rng import STREAM_LATENT, stream\n"
+        "images = gen_digits(20, n=12).images\n"
+        "cfg = tr.TrainConfig(n=12, sampler='vanilla', decoder='mlp', hidden=16, latent_dim=4)\n"
+        "params, dec = tr.init_run(cfg)\n"
+        "state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))\n"
+        "batch = np.ascontiguousarray(images.reshape(20, 144).T)\n"
+        "tr.train_step(batch, params, dec, state, cfg, stream(0, STREAM_LATENT))\n"
+        "assert 'scipy.ndimage' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(masko.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestPgm:
