@@ -33,11 +33,11 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import ContractError, DimensionError, ParameterError
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT1_2 = math.sqrt(0.5)
 PANEL = 2560  # padded rows per conv2d panel, sized for a 2 MiB L2 (CHANGES.md)
 
 
@@ -319,7 +319,7 @@ def sigmoid_temp(x: Tensor, lam: float) -> Tensor:
     """Temperature sigmoid 1 / (1 + exp(-x / lam)); lam -> 0 polarizes."""
     if not lam > 0:
         raise ParameterError(f"temperature must be positive, got {lam}")
-    s = expit(x.data / lam)
+    s = _expit(x.data, lam)
 
     def back(g, needs):
         t = g * s
@@ -367,7 +367,7 @@ def softplus(x: Tensor) -> Tensor:
     out = np.logaddexp(0.0, x.data)
 
     def back(g, needs):
-        return (g * expit(x.data),)
+        return (g * _expit(x.data),)
 
     return x.tape.record(out, (x,), back)
 
@@ -397,14 +397,75 @@ def sqrt(x: Tensor) -> Tensor:
     return x.tape.record(out, (x,), back)
 
 
+# Cephes' ndtr (Moshier) as scipy.special runs it: erf's T/U where |x|/sqrt(2) < 1,
+# else erfc's P/Q below 8 and R/S from 8, and 0 once (x/sqrt(2))^2 > _MAXLOG.  Each
+# tuple is one Horner row from its leading coefficient; a denominator's lead is 1.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _ratio(x: np.ndarray, scale: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
+    """(scale * num(x)) / den(x), each polynomial by Horner's rule from its
+    leading coefficient, as Cephes' polevl and p1evl round it."""
+    p, q = x * num[0], x * den[0]
+    for acc, coef in ((p, num), (q, den)):
+        for c in coef[1:-1]:
+            acc += c
+            acc *= x
+        acc += coef[-1]
+    p *= scale
+    p /= q
+    return p
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtr in numpy: Cephes' branches and order of rounding, on
+    numpy's exp, whose last bit differs from the C library's for some inputs."""
+    flat = np.reshape(x, -1)
+    out = np.abs(flat)
+    out *= _SQRT1_2
+    near = out < 1.0  # 0.5 + erf(x / sqrt(2)) / 2
+    s = flat[near] * _SQRT1_2
+    out[near] = 0.5 + 0.5 * _ratio(s * s, s, _T, _U)
+    far = ~near  # erfc(|x| / sqrt(2)) / 2, or 1 minus that for x > 0; NaN too
+    w = np.minimum(out[far], 27.0)  # 27^2 > _MAXLOG, past which erfc is 0
+    e = np.exp(-(w * w))
+    t = _ratio(w, e, _P, _Q)
+    tail = w >= 8.0
+    t[tail] = np.where(w[tail] ** 2 > _MAXLOG, 0.0, _ratio(w[tail], e[tail], _R, _S))
+    out[far] = 0.5 * t
+    far &= flat > 0.0
+    return np.subtract(1.0, out, out=out, where=far).reshape(np.shape(x))
+
+
+def _expit(x: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """scipy.special.expit(x / lam) = 1 / (1 + exp(-x / lam)), in one buffer."""
+    t = np.divide(x, -lam, out=np.empty(np.shape(x)))
+    t[t > _MAXLOG] = np.inf  # exp overflows there; exp(inf) gives 0 with no warning
+    np.exp(t, out=t)
+    return np.divide(1.0, np.add(t, 1.0, out=t), out=t)
+
+
 def normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF as a differentiable primitive."""
-    out = ndtr(x.data)
 
     def back(g, needs):
         return (g * np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI,)
 
-    return x.tape.record(np.asarray(out, dtype=np.float64), (x,), back)
+    return x.tape.record(_ndtr(x.data), (x,), back)
 
 
 def tensor_sum(x: Tensor, axis: int | None = None) -> Tensor:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -96,7 +95,7 @@ def collapse_prob(mu: np.ndarray, row_norm: np.ndarray) -> np.ndarray:
     """
     pos = row_norm > 0
     probs = np.empty_like(mu)
-    probs[pos] = 1.0 - ndtr(-mu[pos] / row_norm[pos])
+    probs[pos] = 1.0 - ad._ndtr(-mu[pos] / row_norm[pos])
     det = mu[~pos]
     probs[~pos] = np.where(det > 0, 1.0, np.where(det < 0, 0.0, 0.5))
     return probs

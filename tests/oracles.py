@@ -101,6 +101,31 @@ def expected_l0(mu: np.ndarray, row_norm: np.ndarray, lam: float, cfg: StretchCo
     return float(terms.sum())
 
 
+def _polevl(x: float, coef: tuple) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def ndtr_cephes(x: float, exp: Callable[[float], float] = math.exp) -> float:
+    """Cephes' ndtr (Moshier) for one double, branch by branch as scipy.special
+    runs it, on the coefficient tuples of ``masko.autodiff``.  With the C
+    library's ``exp`` it is scipy's ndtr bit for bit, which pins those tuples."""
+    if math.isnan(x):
+        return math.nan
+    a = x * autodiff._SQRT1_2
+    z = abs(a)
+    if z < 1.0:  # 0.5 + erf(a) / 2
+        return 0.5 + 0.5 * (a * _polevl(a * a, autodiff._T) / _polevl(a * a, autodiff._U))
+    if z * z > autodiff._MAXLOG:  # erfc(z) underflows
+        y = 0.0
+    else:
+        num, den = (autodiff._P, autodiff._Q) if z < 8.0 else (autodiff._R, autodiff._S)
+        y = 0.5 * (exp(-(z * z)) * _polevl(z, num) / _polevl(z, den))
+    return 1.0 - y if a > 0 else y
+
+
 def concrete_collapse_numpy(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
     """The concrete kind's Monte-Carlo collapse with its logistic noise
     restated in numpy: clipped uniforms, one row of n*n per draw."""

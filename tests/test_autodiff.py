@@ -1,15 +1,17 @@
 """Gradient engine tests: oracles are nested loops and central differences."""
 
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from scipy import special
 
 from masko import autodiff as ad
 from masko.errors import ContractError, DimensionError, ParameterError
 
-from oracles import grad_check
+from oracles import grad_check, ndtr_cephes
 
 
 def matmul_loops(a, b):
@@ -242,6 +244,64 @@ class TestSigmoidTemp:
         tape = ad.Tape()
         with pytest.raises(ParameterError):
             ad.sigmoid_temp(tape.constant([1.0]), 0.0)
+
+
+def ulps(got, ref):
+    """Units in the last place between two non-negative float64 arrays."""
+    assert not (np.signbit(got).any() or np.signbit(ref).any())
+    return np.abs(got.view(np.int64) - ref.view(np.int64))
+
+
+class TestScipySpecialInNumpy:
+    """``_ndtr`` and ``_expit`` replace scipy.special's ndtr and expit.  They
+    run scipy's formulas in the same order of rounding, but on numpy's exp,
+    whose last bit differs from the C library's for about 4% of doubles; at
+    most 4 ulps of the result follow from that (measured on 4e6 draws)."""
+
+    ULPS = 4
+
+    def test_transcription_is_scipys_ndtr_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 70_000), rng.standard_normal(30_000) * 3.0])
+        got = np.array([ndtr_cephes(v) for v in x.tolist()])
+        assert got.tobytes() == special.ndtr(x).tobytes()
+
+    def test_vectorised_is_the_transcription_on_numpys_exp(self):
+        x = np.random.default_rng(24).uniform(-40.0, 40.0, 20_000)
+        want = np.array([ndtr_cephes(v, lambda t: float(np.exp(t))) for v in x.tolist()])
+        assert ad._ndtr(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "low,high",  # |x|/sqrt(2) below 1 (erf T/U), from 1 to 8 (erfc P/Q), from 8 on (R/S, then 0)
+        [(-1.4142, 1.4142), (1.4143, 11.313), (-11.313, -1.4143), (11.314, 40.0), (-40.0, -11.314)],
+    )
+    def test_ndtr_within_ulps_of_scipy(self, low, high):
+        x = np.random.default_rng(zlib.crc32(repr((low, high)).encode())).uniform(low, high, 200_000)
+        assert ulps(ad._ndtr(x), special.ndtr(x)).max() <= self.ULPS
+
+    def test_ndtr_special_values_as_scipys(self):
+        edges = [np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * ad._MAXLOG)]
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 38.5, -38.5]
+                     + [s * np.nextafter(e, t) for e in edges for t in (0.0, 99.0) for s in (1.0, -1.0)])
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error")
+            got = ad._ndtr(x)
+            zero = ad._ndtr(np.array(0.0))
+        assert zero.shape == () and zero == 0.5
+        np.testing.assert_array_equal(got, special.ndtr(x))
+
+    @pytest.mark.parametrize("lam", [1.0, 0.3])
+    @pytest.mark.parametrize("bound", [40.0, 800.0])
+    def test_expit_within_ulps_of_scipy(self, lam, bound):
+        x = np.random.default_rng(zlib.crc32(repr((lam, bound)).encode())).uniform(-bound, bound, 200_000)
+        x[:8] = [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, -746.0, -1e300]
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error")
+            got = ad._expit(x, lam)
+        with np.errstate(over="ignore"):
+            want = special.expit(x / lam)
+        assert ulps(got, want).max() <= self.ULPS
+        assert np.isnan(ad._expit(np.array([np.nan]), lam)).all()
 
 
 class TestClamp01:

@@ -235,13 +235,17 @@ def test_program_runs_without_scipy_ndimage():
         "from masko import training as tr\n"
         "from masko.data import gen_digits\n"
         "from masko.rng import STREAM_LATENT, stream\n"
+        "from masko.evaluate import collapse_distribution\n"
         "images = gen_digits(20, n=12).images\n"
-        "cfg = tr.TrainConfig(n=12, sampler='vanilla', decoder='mlp', hidden=16, latent_dim=4)\n"
-        "params, dec = tr.init_run(cfg)\n"
-        "state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))\n"
         "batch = np.ascontiguousarray(images.reshape(20, 144).T)\n"
-        "tr.train_step(batch, params, dec, state, cfg, stream(0, STREAM_LATENT))\n"
-        "assert 'scipy.ndimage' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "for kind in ('vanilla', 'hypernet', 'independent', 'concrete'):\n"
+        "    cfg = tr.TrainConfig(n=12, sampler=kind, decoder='mlp', hidden=16, latent_dim=4, rep_width=8)\n"
+        "    params, dec = tr.init_run(cfg)\n"
+        "    state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))\n"
+        "    tr.train_step(batch, params, dec, state, cfg, stream(0, STREAM_LATENT))\n"
+        "    collapse_distribution(params, mc_samples=16)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert 'scipy.ndimage' not in loaded and 'scipy.special' not in loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(masko.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)

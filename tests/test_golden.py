@@ -7,12 +7,16 @@ fixed-mask error of the larger collapsed mask.  A refactor that claims to
 keep behaviour must keep these digests.
 
 The digests depend on the platform: a different BLAS, CPU or numpy build
-may sum in a different order and change the low bits.  They were recorded
-on x86-64 with OpenBLAS and numpy 2.4.  Bytes are fixed at a given BLAS
-thread count.  These digests hold at 1 and at 2 threads, but only because
-of their small shapes: at n=28 the MLP runs' products with K = 784
-differ between the two counts.  If only the platform changed, re-record
-them from a commit whose behaviour is known to be unchanged.
+may sum in a different order and change the low bits.  They also depend
+on the SIMD code numpy dispatches to for ``exp`` and ``log``: masko's
+sigmoid and normal CDF run on numpy's ``exp``, not on scipy.special, which
+the program no longer imports (scipy serves only conv2d's BLAS call).  The
+digests were recorded on x86-64 with AVX-512, OpenBLAS and numpy 2.4.
+Bytes are fixed at a given BLAS thread count.  These digests hold at 1
+and at 2 threads, but only because of their small shapes: at n=28 the
+MLP runs' products with K = 784 differ between the two counts.  If only
+the platform changed, re-record them from a commit whose behaviour is
+known to be unchanged.
 """
 
 import hashlib
@@ -31,35 +35,35 @@ from masko.training import TrainConfig, train_loop
 # (checkpoint.bin, collapse probabilities + eval repr)
 GOLDEN = {
     ("vanilla", "mlp"): (
-        "d02a4174bb025cec1707acb901c42dae3081c142d1b9609d419e267a28efcf57",
+        "7ee0375d1f5737b940d8ef8cfd7f4625b1cbec2f9480c8f73b327c598328bc08",
         "ccc88c0fd716ea357eb7f87fb848ac32c9fcd1117e0fc1b305d04774eda83d23",
     ),
     ("vanilla", "conv_resnet"): (
-        "a78cdf5f2e0a31f4815e4690f0792b4c087fa9234360afdbadd80d4385ae30fb",
+        "f8f3552417bd19e93c212b60ddfbd0b7f869209228abeab4455bbf5c3913d73e",
         "25c10731fb99715ae6c4211802d614800557452ef0dae09fd0b40cf7ddaf0b21",
     ),
     ("hypernet", "mlp"): (
-        "a46d74d66b36a18da16bd8187e9efb2cb020f8cbcbaaeeec5dfd71475c769362",
+        "47d7148c0d43f1d55b44355a02e4074b2c811a133c31fc19ce1f7b1e0290f2d9",
         "94b5d2eeeae34e4db7b079079f752b75702fc029a5364cf09b8c2b2d2170a5c6",
     ),
     ("hypernet", "conv_resnet"): (
-        "ffb0eab7ee68f1d509fe79daf1c9970a77dbba351c1245174e7d5eaad6b0a0c2",
+        "b0c326fb214f1edd5ee5f6dccd50701113eeff5768ae81415f07b1940a412e2a",
         "1ec9ce3079a9a7ef24db87d915c3ffcf303cf1f0b539a435caf43adf3c9bdd3d",
     ),
     ("independent", "mlp"): (
-        "e04459a4b89a66597df39dfc23f8313586c95030d7a3a0ecd462726c86a90633",
+        "61de0b041e1f785e6c44ec7073beb672e595f47943ad83f55d18fa091d4f94b5",
         "06cea9a0659104bcb0e405a43397213b5f34db7b29c2fd983941b19b9ab0be52",
     ),
     ("independent", "conv_resnet"): (
-        "1b53e1f1dbd51beae527e86cb82a831d48a87229fa36ff24d5b53fcea45c12d1",
+        "5efd1accd4beb155f72ff099f01dea460db49ed5ea666d22dcf41c09dda23081",
         "90ee6a936abdc4228b7843a9bb38c580064bc6f9878d10fbdb0e9496532d4787",
     ),
     ("concrete", "mlp"): (
-        "27f619bbac5e69bdcceebd97b3027a23de1f8a6321dd57de0887690da5187be1",
+        "67207cce4d372621d57f108ebcfd1a250cf5213c5286d976716d7c7800a47b8d",
         "b6b119878ce70887feaac481e9e9b217ecf7f9980b1b372d7a99934abce60fcb",
     ),
     ("concrete", "conv_resnet"): (
-        "6b961f74e2e364d6015ae7ac00d6714dd825e1104ad95feecb0b3c027fd66d17",
+        "e8fbb0cadbb636b6bbf157f91df1a4ea550a296db7a6eda24057b6a56603c6a6",
         "4a8300449ae4f5004470b0cd68fe9ced378e5dbc21cd2f3d090257d946c60fdd",
     ),
 }
