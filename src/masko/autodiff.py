@@ -15,10 +15,12 @@ Memory-bound elementwise work is folded into the op that makes the array:
 ``W x + b`` and the stretched hard threshold are one record each.
 ``conv2d`` is a whole convolutional layer over (C, B, H, W) activations:
 its bias, leaky ReLU and skip add run in the epilogue of the correlation's
-row panels instead of as ops of their own.  Its output, and its input
-gradient, is a strided view of a buffer of zero-halo padded pixel-major
-rows (a pixel's C channels side by side), which the next layer (or the
-backward) reads in place once it has checked that the halo is all zero.
+row panels instead of as ops of their own, and every kernel offset adds
+its GEMM into those panels inside BLAS, one code path at every layer
+width.  Its output, and its input gradient, is a strided view of a buffer
+of zero-halo padded pixel-major rows (a pixel's C channels side by side),
+which the next layer (or the backward) reads in place once it has checked
+that the halo is all zero.
 
 Design constraints: 64-bit floats everywhere, first-order gradients only,
 a scalar loss root, and single-threaded use of any one tape.  Parameters
@@ -559,14 +561,6 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return rows
 
 
-def _channel_major(rows: np.ndarray) -> np.ndarray:
-    """A contiguous copy of ``rows.T``, made :data:`PANEL` rows at a time in cache."""
-    out = np.empty(rows.shape[::-1])
-    for a in range(0, rows.shape[0], PANEL):
-        out[:, a : a + PANEL] = rows[a : a + PANEL].T
-    return out
-
-
 def _correlate_rows(
     rows: np.ndarray,
     k: np.ndarray,
@@ -585,46 +579,30 @@ def _correlate_rows(
     the :func:`_pad_rows` layout.  In that layout an offset's window over
     a panel of :data:`PANEL` rows, and the output panel, are contiguous
     blocks, so each offset adds its GEMM into the panel inside BLAS:
-    ``dgemm`` with beta 0 for the first offset and 1 after it.  Below 8
-    output channels, OpenBLAS's dgemm is slow for a (C_out, panel) output
-    (a quarter of numpy's speed at C_out = 4) and rounds a one-row product
-    differently, so those layers sum numpy's products on a channel-major
-    copy of the window and copy the sum into the panel.  Each panel's
-    epilogue adds ``bias``, takes the leaky ReLU as ``max(v, slope*v)``
-    (the bits of ``where(v > 0, v, slope*v)`` for 0 < slope < 1) and adds
-    the ``skip`` rows; the halo is zeroed last.  Measurements: CHANGES.md.
+    ``dgemm`` with beta 0 for the first offset and 1 after it, at every
+    layer width.  Each panel's epilogue adds ``bias``, takes the leaky ReLU
+    as ``max(v, slope*v)`` (the bits of ``where(v > 0, v, slope*v)`` for
+    0 < slope < 1) and adds the ``skip`` rows; the halo is zeroed last.
+    Measurements: CHANGES.md.
     """
-    co, ci, kh, kw = k.shape
+    from scipy.linalg.blas import dgemm  # here, so that MLP runs never pay its import
+
+    co, _, kh, kw = k.shape
     pad = kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
     n = nb * hp * wp
     lead = pad * (wp + 1)
     shifts = [di * wp + dj for di in range(kh) for dj in range(kw)]
+    taps = [np.asfortranarray(k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
     out = np.empty((n + 2 * lead, co))
     scratch = np.empty((min(PANEL, n), co))
-    if co < 8:
-        taps = [k[:, :, di, dj] for di in range(kh) for dj in range(kw)]
-        product = np.multiply if ci == 1 else np.matmul
-        sums = np.empty((2, co, min(PANEL, n)))
-    else:
-        from scipy.linalg.blas import dgemm  # here, so that MLP runs never pay its import
-        taps = [np.asfortranarray(k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
     if bias is not None:
         bias_rows = np.tile(bias, (min(PANEL, n), 1))
     for a in range(0, n, PANEL):
         b = min(a + PANEL, n)
         panel, term = out[lead + a : lead + b], scratch[: b - a]
-        if co < 8:
-            acc, term_cm = sums[:, :, : b - a]
-            window = _channel_major(rows[a : b + shifts[-1]])
-            product(taps[0], window[:, : b - a], out=acc)
-            for s, kk in zip(shifts[1:], taps[1:]):
-                product(kk, window[:, s : s + b - a], out=term_cm)
-                acc += term_cm
-            panel[...] = acc.T
-        else:
-            for s, kk in zip(shifts, taps):
-                dgemm(1.0, kk, rows[s + a : s + b].T, float(s > 0), panel.T, overwrite_c=1)
+        for s, kk in zip(shifts, taps):
+            dgemm(1.0, kk, rows[s + a : s + b].T, float(s > 0), panel.T, overwrite_c=1)
         if bias is not None:
             panel += bias_rows[: b - a]
         if slope is not None:
@@ -661,8 +639,8 @@ def conv2d(
     exact because no skip is added after a leaky ReLU; the input gradient
     is the same correlation with the kernel flipped and its channels
     swapped, and the kernel gradient adds up each offset's products over
-    :data:`PANEL` rows at a time, which stay in cache (all rows in one
-    product below 8 channels on a side).  Measurements: CHANGES.md.
+    :data:`PANEL` rows at a time, which stay in cache.  Every layer width
+    runs this one path.  Measurements: CHANGES.md.
     """
     if k.data.ndim != 4:
         raise DimensionError(f"kernel must be 4-D, got {k.shape}")
@@ -714,19 +692,14 @@ def conv2d(
         if needs[1]:
             # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at the
             # top-left corner of window (i, j) and zeros everywhere else.
-            g_corner, x_rows, step = grows[pad * (wp + 1) : pad * (wp + 1) + n], rows, PANEL
-            if min(k.data.shape[:2]) < 8:
-                # A one-channel operand makes the product numpy's gemv, and
-                # OpenBLAS's small-matrix kernels round narrow products of
-                # pixel-major operands in another order: copy them, one panel.
-                g_corner, x_rows, step = _channel_major(g_corner).T, _channel_major(rows).T, n
+            g_corner = grows[pad * (wp + 1) : pad * (wp + 1) + n]
             gk = np.zeros_like(k.data)
-            for a in range(0, n, step):
-                b = min(a + step, n)
+            for a in range(0, n, PANEL):
+                b = min(a + PANEL, n)
                 for di in range(kh):
                     for dj in range(kw):
                         s = di * wp + dj
-                        gk[:, :, di, dj] += g_corner[a:b].T @ x_rows[s + a : s + b]
+                        gk[:, :, di, dj] += g_corner[a:b].T @ rows[s + a : s + b]
         grads = [gx, gk]
         if bias is not None:
             if needs[2]:

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.ndimage import gaussian_filter
 from scipy.special import ndtr
 
@@ -231,6 +232,10 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return rows
 
 
+def _one_row_product(kk: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    out[...] = dgemm(1.0, kk, rows)
+
+
 def _correlate_rows(
     rows: np.ndarray,
     k: np.ndarray,
@@ -257,9 +262,11 @@ def _correlate_rows(
     later one goes through a (C_out, PANEL) scratch added into it, so both
     stay in cache across the offsets.  With one input channel the product
     is a broadcast multiply of the (C_out, 1) tap with the (1, panel) row,
-    not a GEMM with inner dimension 1.  Either way each output element
-    sums the same products in the same offset order as one full-width
-    GEMM per offset.
+    not a GEMM with inner dimension 1.  With one output channel it is
+    scipy's dgemm, which ``autodiff.conv2d`` calls at every width and which
+    rounds a one-row product in another order than numpy's.  Either way
+    each output element sums the same products in the same offset order
+    as one full-width GEMM per offset.
 
     The epilogue runs on the panel while it is still in cache: the
     (C_out, 1) ``bias`` column is added, then the leaky ReLU of ``slope``
@@ -276,7 +283,7 @@ def _correlate_rows(
     n = nb * hp * wp
     lead = pad * (wp + 1)
     taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
-    product = np.multiply if ci == 1 else np.matmul
+    product = np.multiply if ci == 1 else np.matmul if co > 1 else _one_row_product
     out = np.empty((co, n + 2 * lead))
     halo = np.ones(n + 2 * lead, dtype=bool)
     _interior(halo[None], nb, h, w, pad)[...] = False
@@ -338,25 +345,18 @@ def conv2d_channel_major(x: Tensor, k: Tensor, bias=None, *, slope=None, skip=No
             # Shifted by (p, p), the padded gradient puts g[:, b, i, j] at
             # the top-left corner of window (i, j) and zeros everywhere else.
             g_corner = grows[:, pad * (wp + 1) : pad * (wp + 1) + n]
+            # Each offset's sum adds the products of ``autodiff.PANEL`` rows
+            # at a time, in order, each made on pixel-major copies of both
+            # operands (OpenBLAS rounds a product of that K differently when
+            # its operands are channel-major).
             gk = np.zeros_like(k.data)
-            if min(k.data.shape[:2]) < 8:
+            g_pixels, x_pixels = g_corner.T.copy(), rows.T.copy()
+            for a in range(0, n, autodiff.PANEL):
+                b = min(a + autodiff.PANEL, n)
                 for di in range(kh):
                     for dj in range(kw):
                         s = di * wp + dj
-                        gk[:, :, di, dj] = g_corner @ rows[:, s : s + n].T
-            else:
-                # With 8 or more channels on both sides, each offset's sum
-                # adds the products of ``autodiff.PANEL`` rows at a time, in
-                # order, each made on pixel-major copies of both operands
-                # (OpenBLAS rounds a product of that K differently when its
-                # operands are channel-major).
-                g_pixels, x_pixels = g_corner.T.copy(), rows.T.copy()
-                for a in range(0, n, autodiff.PANEL):
-                    b = min(a + autodiff.PANEL, n)
-                    for di in range(kh):
-                        for dj in range(kw):
-                            s = di * wp + dj
-                            gk[:, :, di, dj] += g_pixels[a:b].T @ x_pixels[s + a : s + b]
+                        gk[:, :, di, dj] += g_pixels[a:b].T @ x_pixels[s + a : s + b]
         grads = [gx, gk]
         if bias is not None:
             if needs[2]:

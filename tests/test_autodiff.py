@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg.blas import dgemm
 
 from masko import autodiff as ad
 from masko.errors import ContractError, DimensionError, ParameterError
@@ -378,17 +379,19 @@ class TestConv2d:
     @pytest.mark.parametrize(
         "x_shape,k_shape",
         [
-            ((16, 1, 28, 28), (16, 1, 3, 3)),  # input conv: K = 1 GEMMs, numpy products backward
-            ((5, 16, 28, 28), (16, 16, 3, 3)),  # residual-block conv: kernel gradient in panels
-            ((5, 16, 28, 28), (1, 16, 3, 3)),  # output conv: numpy products, K = 1 GEMMs backward
+            ((16, 1, 28, 28), (16, 1, 3, 3)),  # input conv: K = 1 GEMMs, one-row GEMMs backward
+            ((5, 16, 28, 28), (16, 16, 3, 3)),  # residual-block conv
+            ((5, 16, 28, 28), (1, 16, 3, 3)),  # output conv: one-row GEMMs, K = 1 GEMMs backward
+            ((5, 4, 28, 28), (4, 4, 3, 3)),  # a width no workload runs
         ],
     )
     def test_panels_equal_one_piece_accumulation(self, x_shape, k_shape):
         # The padded rows span several panels and end in a short one; the
         # panels must not move a bit against full-width per-offset GEMMs
-        # over channel-major padded rows, summed in numpy.  The kernel
-        # gradient of a layer with 8 or more channels on both sides is the
-        # exception: it sums each offset's products over the same panels.
+        # over channel-major padded rows, summed in numpy.  A one-row
+        # product is scipy's dgemm, which conv2d calls at every width and
+        # which rounds a C_out = 1 sum in its own order.  The kernel
+        # gradient sums each offset's products over the same panels.
         nb, _, h, w = x_shape
         wp, n = w + 2, nb * (h + 2) * (w + 2)
         assert n > ad.PANEL and n % ad.PANEL != 0
@@ -400,27 +403,25 @@ class TestConv2d:
 
         def one_piece(x, k):
             rows = padded(x)
+            product = np.matmul if k.shape[0] > 1 else lambda kk, r: dgemm(1.0, kk, r)
             taps = [(di * wp + dj, k[:, :, di, dj]) for di in range(3) for dj in range(3)]
-            acc = taps[0][1] @ rows[:, taps[0][0] : taps[0][0] + n]
+            acc = product(taps[0][1], rows[:, taps[0][0] : taps[0][0] + n])
             for s, kk in taps[1:]:
-                acc += kk @ rows[:, s : s + n]
+                acc += product(kk, rows[:, s : s + n])
             grid = acc.reshape(k.shape[0], nb, h + 2, w + 2)[:, :, :h, :w]
             return grid.transpose(1, 0, 2, 3)
 
-        def kernel_grad(x, g, panel):
-            # Each offset's products over ``panel`` rows at a time, added in
-            # order; a panelled product takes pixel-major operands, as conv2d
-            # makes them, and a whole-K one channel-major copies.
-            x_rows, g_rows = padded(x), padded(g)[:, wp + 1 : wp + 1 + n]
-            if panel < n:
-                x_rows, g_rows = x_rows.T.copy().T, g_rows.T.copy().T
+        def kernel_grad(x, g):
+            # Each offset's products over PANEL rows at a time, added in
+            # order, on pixel-major operands as conv2d makes them.
+            x_rows, g_rows = padded(x).T.copy(), padded(g).T[wp + 1 : wp + 1 + n].copy()
             gk = np.empty(k.shape)
-            for a in range(0, n, panel):
-                b = min(a + panel, n)
+            for a in range(0, n, ad.PANEL):
+                b = min(a + ad.PANEL, n)
                 for di in range(3):
                     for dj in range(3):
                         s = di * wp + dj
-                        term = g_rows[:, a:b] @ x_rows[:, s + a : s + b].T
+                        term = g_rows[a:b].T @ x_rows[s + a : s + b]
                         gk[:, :, di, dj] = term if a == 0 else gk[:, :, di, dj] + term
             return gk
 
@@ -435,7 +436,7 @@ class TestConv2d:
         assert np.array_equal(cm(out.data), one_piece(x, k))
         flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert np.array_equal(cm(xt.grad), one_piece(g, flipped))
-        assert kt.grad.tobytes() == kernel_grad(x, g, ad.PANEL if min(k_shape[:2]) >= 8 else n).tobytes()
+        assert kt.grad.tobytes() == kernel_grad(x, g).tobytes()
 
     @pytest.mark.parametrize("size", [3, 1])
     @pytest.mark.parametrize("wrt", ["x", "k"])

@@ -39,7 +39,7 @@ GOLDEN = {
         "ccc88c0fd716ea357eb7f87fb848ac32c9fcd1117e0fc1b305d04774eda83d23",
     ),
     ("vanilla", "conv_resnet"): (
-        "f8f3552417bd19e93c212b60ddfbd0b7f869209228abeab4455bbf5c3913d73e",
+        "8264d6edea26734d552203eaf3fcb5566536096e593af0d8ebcc1c7288c2842e",
         "25c10731fb99715ae6c4211802d614800557452ef0dae09fd0b40cf7ddaf0b21",
     ),
     ("hypernet", "mlp"): (
@@ -47,7 +47,7 @@ GOLDEN = {
         "94b5d2eeeae34e4db7b079079f752b75702fc029a5364cf09b8c2b2d2170a5c6",
     ),
     ("hypernet", "conv_resnet"): (
-        "b0c326fb214f1edd5ee5f6dccd50701113eeff5768ae81415f07b1940a412e2a",
+        "584abffc7cf4e6ccb94289230ab123c5f642f11024e694dbdf487b80364b0c49",
         "1ec9ce3079a9a7ef24db87d915c3ffcf303cf1f0b539a435caf43adf3c9bdd3d",
     ),
     ("independent", "mlp"): (
@@ -55,7 +55,7 @@ GOLDEN = {
         "06cea9a0659104bcb0e405a43397213b5f34db7b29c2fd983941b19b9ab0be52",
     ),
     ("independent", "conv_resnet"): (
-        "5efd1accd4beb155f72ff099f01dea460db49ed5ea666d22dcf41c09dda23081",
+        "36fdc339c29b3771bf0ee3abe77324489cc473771b0e5b9dac1c192d8f2562cf",
         "90ee6a936abdc4228b7843a9bb38c580064bc6f9878d10fbdb0e9496532d4787",
     ),
     ("concrete", "mlp"): (
@@ -63,7 +63,7 @@ GOLDEN = {
         "b6b119878ce70887feaac481e9e9b217ecf7f9980b1b372d7a99934abce60fcb",
     ),
     ("concrete", "conv_resnet"): (
-        "e8fbb0cadbb636b6bbf157f91df1a4ea550a296db7a6eda24057b6a56603c6a6",
+        "8bf69b61083cd8d44dc8b416c3f40173a2216653a860555db4b598d72ca2eb3a",
         "4a8300449ae4f5004470b0cd68fe9ced378e5dbc21cd2f3d090257d946c60fdd",
     ),
 }

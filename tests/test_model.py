@@ -155,27 +155,28 @@ class TestConvResnetBits:
             assert new[name].tobytes() == old[name].tobytes(), name
 
     def test_gradient_bytes_equal_at_one_and_two_blas_threads(self):
-        # The golden digests run 4 filters at n=8, narrow layers only; this
-        # is the benchmark's decoder, whose 16 -> 16 kernel gradients sum
-        # panels.  One process per thread count, for numpy's and scipy's
-        # OpenBLAS alike.
+        # The benchmark's 16-filter decoder, whose 16 -> 16 kernel gradients
+        # sum panels, and the golden runs' 4 filters, a width no workload
+        # runs, both at n=28.  One process per thread count, for numpy's and
+        # scipy's OpenBLAS alike.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from masko import autodiff as ad, model as md\n"
-            "rng = np.random.default_rng(28)\n"
-            "dec = md.init_decoder('conv_resnet', n=28, filters=16, rng=rng)\n"
-            "for name, arr in dec.arrays.items():\n"
-            "    if name.startswith('b'):\n"
-            "        arr[:] = rng.standard_normal(arr.shape) * 0.1\n"
-            "x = rng.random((28 * 28, 16)) * (rng.random((28 * 28, 16)) < 0.5)\n"
-            "tape = ad.Tape()\n"
-            "xt = tape.param(x)\n"
-            "leaves = {name: tape.param(arr) for name, arr in dec.arrays.items()}\n"
-            "out, _ = md.decoder_forward(tape, dec, xt, leaves)\n"
-            "tape.backward((out * tape.constant(rng.standard_normal(x.shape))).sum())\n"
-            "for name, leaf in [('x', xt), *leaves.items()]:\n"
-            "    print(name, hashlib.sha256(leaf.grad.tobytes()).hexdigest())\n"
+            "for filters in (16, 4):\n"
+            "    rng = np.random.default_rng(28)\n"
+            "    dec = md.init_decoder('conv_resnet', n=28, filters=filters, rng=rng)\n"
+            "    for name, arr in dec.arrays.items():\n"
+            "        if name.startswith('b'):\n"
+            "            arr[:] = rng.standard_normal(arr.shape) * 0.1\n"
+            "    x = rng.random((28 * 28, 16)) * (rng.random((28 * 28, 16)) < 0.5)\n"
+            "    tape = ad.Tape()\n"
+            "    xt = tape.param(x)\n"
+            "    leaves = {name: tape.param(arr) for name, arr in dec.arrays.items()}\n"
+            "    out, _ = md.decoder_forward(tape, dec, xt, leaves)\n"
+            "    tape.backward((out * tape.constant(rng.standard_normal(x.shape))).sum())\n"
+            "    for name, leaf in [('x', xt), *leaves.items()]:\n"
+            "        print(filters, name, hashlib.sha256(leaf.grad.tobytes()).hexdigest())\n"
         )
         found = []
         for threads in ("1", "2"):
@@ -184,7 +185,7 @@ class TestConvResnetBits:
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             found.append(done.stdout.splitlines())
-        assert len(found[0]) == 1 + len(md.init_decoder("conv_resnet", n=28, filters=16).arrays)
+        assert len(found[0]) == 2 * (1 + len(md.init_decoder("conv_resnet", n=28, filters=16).arrays))
         assert found[0] == found[1]
 
 
