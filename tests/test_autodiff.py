@@ -1,5 +1,6 @@
 """Gradient engine tests: oracles are nested loops and central differences."""
 
+import operator
 import tracemalloc
 import warnings
 import zlib
@@ -706,6 +707,56 @@ class TestConv2dResident:
         copied = ad.conv2d(tape.constant(x), tape.constant(k)).data
         assert not np.signbit(copied[0, 0, 0, 0])
         assert np.array_equal(np.signbit(trusted), np.signbit(copied))
+
+
+# Each broadcasting op's operator, which is also its numpy forward, and the
+# numpy expressions of its two operand gradients before ``_unbroadcast``.
+BINARY_EXPRESSIONS = {
+    "add": (operator.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (operator.sub, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (operator.truediv, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+def assert_bytes(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestBroadcastingBinaryOps:
+    # An operand is a leaf of a shape, a constant of a shape, or a Python float.
+    @pytest.mark.parametrize("name", BINARY_EXPRESSIONS)
+    @pytest.mark.parametrize(
+        "a_kind,a_shape,b_kind,b_shape",
+        [
+            ("param", (5, 1), "param", (5, 4)),
+            ("param", (5, 4), "param", (5, 1)),
+            ("param", (), "param", (5, 4)),
+            ("param", (5, 4), "param", ()),
+            ("float", (), "param", (5, 4)),  # __rsub__, __rmul__, __rtruediv__
+            ("param", (5, 4), "float", ()),
+            ("const", (5, 1), "param", (5, 4)),
+            ("param", (5, 4), "const", (5, 1)),
+        ],
+    )
+    def test_forward_and_gradient_bytes(self, name, a_kind, a_shape, b_kind, b_shape):
+        fn, grad_a, grad_b = BINARY_EXPRESSIONS[name]
+        rng = np.random.default_rng(25)
+        a0, b0 = rng.uniform(0.5, 2.0, a_shape), rng.uniform(0.5, 2.0, b_shape)
+        g = rng.standard_normal(np.broadcast_shapes(a_shape, b_shape))
+        tape = ad.Tape()
+        bind = {"param": tape.param, "const": tape.constant, "float": float}
+        a, b = bind[a_kind](a0), bind[b_kind](b0)
+        # Tensor has no __radd__: the program never writes number + tensor.
+        out = ad.add(a, b) if name == "add" and a_kind == "float" else fn(a, b)
+        tape.backward((out * tape.constant(g)).sum())
+        assert_bytes(out.data, fn(a0, b0))
+        for x, kind, grad, shape in ((a, a_kind, grad_a, a_shape), (b, b_kind, grad_b, b_shape)):
+            if kind == "param":
+                assert_bytes(x.grad, ad._unbroadcast(grad(g, a0, b0), shape))
+            elif kind == "const":
+                assert x.grad is None
 
 
 class TestTranspose:
