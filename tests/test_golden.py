@@ -6,6 +6,12 @@ and of its collapse probabilities together with the ``repr`` of the
 fixed-mask error of the larger collapsed mask.  A refactor that claims to
 keep behaviour must keep these digests.
 
+Those runs are small (n=8, B=16).  A second set pins the benchmark's own
+shapes: for each workload in ``perfbench/spec.json``, three train steps at
+n=28 and the workload's batch size, the collapse at 1,024 draws and the
+fixed-mask eval on 256 images, in one process at one BLAS thread, as the
+benchmark runs them.
+
 The digests depend on the platform: a different BLAS, CPU or numpy build
 may sum in a different order and change the low bits.  They also depend
 on the SIMD code numpy dispatches to for ``exp`` and ``log``: masko's
@@ -20,6 +26,7 @@ known to be unchanged.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import masko
-from masko.data import gen_gaussian_random_field
+from masko.data import gen_digits, gen_gaussian_random_field
 from masko.evaluate import collapse_distribution, eval_fixed_mask
 from masko.training import TrainConfig, train_loop
 
@@ -91,6 +98,18 @@ def test_digests_unchanged(sampler, decoder, tmp_path):
     assert run_digests(sampler, decoder, tmp_path) == GOLDEN[(sampler, decoder)]
 
 
+def run_one_thread(script: str, tmp_path) -> list[str]:
+    """Words ``script`` prints in a fresh process at one BLAS thread, with
+    this directory importable and ``sys.argv[1]`` set to ``tmp_path``."""
+    path = os.pathsep.join([str(Path(masko.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_conv_digests_at_one_blas_thread(tmp_path):
     # The tests run at the machine's BLAS thread count and the benchmark at
     # one, and conv2d calls two OpenBLAS builds (numpy's and scipy's).  One
@@ -104,12 +123,44 @@ def test_conv_digests_at_one_blas_thread(tmp_path):
         "        out.mkdir()\n"
         "        print(sampler, run_digests(sampler, decoder, out) == GOLDEN[(sampler, decoder)])\n"
     )
-    path = os.pathsep.join([str(Path(masko.__file__).parents[1]), str(Path(__file__).parent)])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [
+    assert run_one_thread(script, tmp_path) == [
         word for sampler in ("concrete", "hypernet", "independent", "vanilla") for word in (sampler, "True")
     ]
+
+
+SPEC = json.loads((Path(__file__).parents[1] / "perfbench" / "spec.json").read_text())
+
+# checkpoint.bin + collapse probabilities + eval repr, per benchmark workload
+BENCH_GOLDEN = {
+    "concrete-conv": "b1a04f195e7f55bd2142015e75df0dc9bee28fd342d1365774dcd899b73a2966",
+    "hypernet-mlp": "8534125976428824bea93f46d6be2fa71852822f2adf5ba12d8414a718907bc0",
+    "vanilla-mlp": "0ec4456e75cc8a6c208e67b3647e49ad7efa70bcf36a477d8d61e0b6cf40be38",
+}
+
+
+def bench_shape_digest(workload: str, out_dir) -> str:
+    """One epoch of three train steps of ``workload`` at n=28 on digits,
+    the collapse at its ``mc_samples`` and the eval of the smaller
+    collapsed mask on 256 held-out digits."""
+    wl = SPEC["workloads"][workload]
+    cfg = TrainConfig(n=28, seed=7, epochs=1, **wl["config"])
+    train_count = 3 * cfg.batch_size
+    images = gen_digits(train_count + 256, n=28, seed=7).images
+    result = train_loop(images[:train_count], cfg, out_dir=out_dir)
+    collapsed = collapse_distribution(result.sampler, mc_samples=wl["mc_samples"], seed=cfg.seed)
+    mse = eval_fixed_mask(collapsed.masks[0], result.decoder, images[train_count:])
+    blob = (out_dir / "checkpoint.bin").read_bytes() + collapsed.probs.tobytes() + repr(mse).encode()
+    return sha256(blob)
+
+
+def test_digests_at_benchmark_shapes(tmp_path):
+    script = (
+        "import pathlib, sys\n"
+        "from test_golden import BENCH_GOLDEN, bench_shape_digest\n"
+        "for workload in sorted(BENCH_GOLDEN):\n"
+        "    out = pathlib.Path(sys.argv[1], workload)\n"
+        "    out.mkdir()\n"
+        "    print(workload, bench_shape_digest(workload, out))\n"
+    )
+    words = run_one_thread(script, tmp_path)
+    assert dict(zip(words[::2], words[1::2])) == BENCH_GOLDEN
