@@ -6,9 +6,11 @@ hard-thresholding creates point masses at exactly 0 and 1, which makes the
 expected count of active pixels (the relaxed l0 norm) finite, nonzero and
 differentiable, with a closed form through the standard normal CDF.
 
+The concrete baseline's pre-sigmoid law is a unit-scale logistic instead.
 This module holds the density, the stretch and those closed forms: the
-expected l0 and the zero-temperature collapse probabilities.  Drawing the
-samples themselves is the job of each kind in :mod:`masko.samplers`.
+expected l0 of both law families, which only this module tells apart,
+and the zero-temperature collapse probabilities.  Drawing the samples
+themselves is the job of each kind in :mod:`masko.samplers`.
 Functions taking plain floats/arrays are pure; functions taking
 :class:`~masko.autodiff.Tensor` arguments build tape operations and are
 differentiable in the distribution parameters.
@@ -68,22 +70,20 @@ def stretch(y: Tensor, cfg: StretchConfig) -> Tensor:
     return ad.clamp01(y, cfg.eta - cfg.gamma, cfg.gamma)
 
 
-def expected_l0_terms(mu: Tensor, row_norm: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
-    """Per-coordinate terms 1 - Phi((lam * log(-gamma/eta) - mu) / row_norm).
+def expected_l0_terms(mu: Tensor, row_norm: Tensor | None, lam: float, cfg: StretchConfig) -> Tensor:
+    """Per-coordinate expected-l0 terms: the probability that a pre-sigmoid
+    value with law ``(mu, row_norm)`` exceeds t = lam * log(-gamma/eta).
 
-    Differentiable; requires strictly positive ``row_norm`` (softplus or a
-    nonzero weight row guarantees this during training).  Broadcasts, so
-    ``mu``/``row_norm`` may be per-pixel vectors or per-draw matrices.
+    A Gaussian law gives 1 - Phi((t - mu) / row_norm) and needs a strictly
+    positive ``row_norm`` (softplus or a nonzero weight row guarantees this
+    during training); a scale of None is concrete's unit logistic, which
+    gives sigmoid(mu - t).  Differentiable; broadcasts, so the law may be
+    per-pixel vectors or per-draw matrices.
     """
     t = lam * cfg.log_odds_threshold
+    if row_norm is None:
+        return ad.sigmoid_temp(mu - t, 1.0)
     return 1.0 - ad.normal_cdf((t - mu) / row_norm)
-
-
-def concrete_l0_terms(log_alpha: Tensor, lam: float, cfg: StretchConfig) -> Tensor:
-    """Per-coordinate expected-l0 terms of the stretched concrete law,
-    sigmoid(log_alpha - lam * log(-gamma/eta)).  Differentiable."""
-    t = lam * cfg.log_odds_threshold
-    return ad.sigmoid_temp(log_alpha - t, 1.0)
 
 
 def collapse_prob(mu: np.ndarray, row_norm: np.ndarray) -> np.ndarray:

@@ -8,10 +8,9 @@ filters, two residual blocks of two 3x3 convs, output conv back to one
 channel).
 
 The objective is masked-reconstruction mean squared error plus a weighted
-expected-l0 sparsity term, normalized by the pixel count.  For the
-Gaussian samplers the sparsity term is the analytic closed form of their
-pre-sigmoid law (per draw and averaged over the batch for the hypernet);
-for the concrete baseline it is the logistic closed form.
+expected-l0 sparsity term, normalized by the pixel count.  The sparsity
+term is the closed form of the sampler's pre-sigmoid law, whichever kind
+drew it (per draw and averaged over the batch for the hypernet).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .distributions import StretchConfig, concrete_l0_terms, expected_l0_terms
+from .distributions import StretchConfig, expected_l0_terms
 from .errors import ConfigError, DimensionError
 from .rng import STREAM_INIT, stream
 from .samplers import LEAKY_SLOPE, SamplerOutput
@@ -202,10 +201,7 @@ def objective(
     x_obs = sampler_out.stretched * x
     xhat, dec_leaves = decoder_forward(x.tape, dec, x_obs, dec_leaves)
     recon = _squared_error(xhat, x)
-    if sampler_out.law is not None:
-        terms = expected_l0_terms(*sampler_out.law, sampler_out.lam, cfg)
-    else:
-        terms = concrete_l0_terms(sampler_out.logits, sampler_out.lam, cfg)
+    terms = expected_l0_terms(*sampler_out.law, sampler_out.lam, cfg)
     # mean over coordinates (and draws, for per-draw terms) = normalized l0
     sparsity = terms.mean()
     total = recon + lam_sparse * sparsity

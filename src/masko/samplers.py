@@ -11,7 +11,8 @@ Four variants over n*n pixels:
 
 Each variant is one :class:`SamplerKind` declaration in :data:`KINDS`:
 its array shapes and init bounds, its noise draw, its forward pass to
-the pre-sigmoid values and closed-form law over bound leaf tensors, and
+the pre-sigmoid values and their (location, scale) law over bound leaf
+tensors (concrete's scale is None: its noise is the unit logistic), and
 its zero-temperature collapse, which runs that tape code on constants.
 This module is the one place that draws masks; the law's closed forms
 live in :mod:`masko.distributions`.  A :class:`SamplerParams` holds
@@ -62,17 +63,15 @@ class SamplerParams:
 class SamplerOutput:
     """Forward-pass products needed by the objective and the optimizer.
 
-    Exactly one of ``law`` and ``logits`` is set: the Gaussian kinds give
-    their pre-sigmoid (mean, std) per pixel, or as (n*n, B) per pixel and
-    draw for the hypernet; the concrete kind gives its logits.
+    ``law`` is the pre-sigmoid (location, scale) per pixel, or as (n*n, B)
+    per pixel and draw for the hypernet; concrete's scale is None.
     """
 
     soft: Tensor  # (n*n, B)
     stretched: Tensor  # (n*n, B)
     lam: float
     leaves: dict[str, Tensor]
-    law: tuple[Tensor, Tensor] | None = None
-    logits: Tensor | None = None
+    law: tuple[Tensor, Tensor | None]
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class SamplerKind:
     # (n*n, d, k) -> {name: (shape, init)}, in checkpoint order; init is the
     # bound of a uniform draw on [-init, init], or 0 for zeros
     layout: Callable[[int, int, int], dict[str, tuple[tuple[int, ...], float]]]
-    # (leaves, noise) -> (pre-sigmoid values, law or None, logits or None)
+    # (leaves, noise) -> (pre-sigmoid values, their (location, scale) law)
     forward: Callable[[dict[str, Tensor], Tensor], tuple]
     # (params, mc_samples, seed) -> per-pixel zero-temperature selection probabilities
     collapse: Callable[[SamplerParams, int, int], np.ndarray]
@@ -127,13 +126,13 @@ def hypernet_pre(params: SamplerParams, z: np.ndarray) -> np.ndarray:
 def _hypernet_pre(leaves: dict[str, Tensor], zt: Tensor, norm: bool = True) -> tuple:
     """W_z z + b_z for each draw column of zt (d, B), with W_z as the
     (n*n, d, B) reshape of F_W's output.  Each draw yields its own (W_z,
-    b_z), so the law (b_z, row norm of W_z) is per draw; the norm is None
+    b_z), so the law (b_z, row norm of W_z) is per draw; there is no law
     when ``norm`` is False."""
     r = _affine2_cols(leaves, "rep", zt)  # (k, B)
     h = _hidden(leaves, "fw", r)
     wz_z, w_norm = _hypernet_head(leaves["fw.w2"], leaves["fw.b2"], h, zt.data, norm)
     b_z = _affine2_cols(leaves, "fb", r)  # (n*n, B)
-    return wz_z + b_z, (b_z, w_norm), None
+    return wz_z + b_z, (b_z, w_norm) if norm else None
 
 
 def _hypernet_head(
@@ -222,14 +221,14 @@ def _net_layout(prefix: str, d_in: int, k: int, d_out: int, out_bound: float) ->
 
 def _vanilla_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """W z + b; pixel i is logitNormal with mean b[i] and std |W[i]|."""
-    return ad.matmul(leaves["w"], zt, leaves["b"]), KINDS["vanilla"].law(leaves), None
+    return ad.matmul(leaves["w"], zt, leaves["b"]), KINDS["vanilla"].law(leaves)
 
 
 def _independent_pre(leaves: dict[str, Tensor], zt: Tensor) -> tuple:
     """mu + z * sigma, one independent draw per pixel."""
     mu, sigma = KINDS["independent"].law(leaves)
     m = mu.size
-    return mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), (mu, sigma), None
+    return mu.reshape((m, 1)) + zt * sigma.reshape((m, 1)), (mu, sigma)
 
 
 def _concrete_pre(leaves: dict[str, Tensor], ut: Tensor) -> tuple:
@@ -238,7 +237,7 @@ def _concrete_pre(leaves: dict[str, Tensor], ut: Tensor) -> tuple:
     if np.any(ut.data <= 0.0) or np.any(ut.data >= 1.0):
         raise DomainError("uniform noise must lie strictly inside (0, 1); resample")
     la = leaves["log_alpha"]
-    return la.reshape((la.size, 1)) + (ad.log(ut) - ad.log(1.0 - ut)), None, la
+    return la.reshape((la.size, 1)) + (ad.log(ut) - ad.log(1.0 - ut)), (la, None)
 
 
 def _collapse_law(p: SamplerParams, mc_samples: int, seed: int) -> np.ndarray:
@@ -325,9 +324,9 @@ def sampler_forward(
     zt = tape.constant(z)
     if leaves is None:
         leaves = {name: tape.param(arr) for name, arr in params.arrays.items()}
-    pre, law, logits = KINDS[params.kind].forward(leaves, zt)
+    pre, law = KINDS[params.kind].forward(leaves, zt)
     soft = ad.sigmoid_temp(pre, params.lam)
-    return SamplerOutput(soft, stretch(soft, cfg), params.lam, leaves, law, logits)
+    return SamplerOutput(soft, stretch(soft, cfg), params.lam, leaves, law)
 
 
 def draw_latent(params: SamplerParams, rng: np.random.Generator, batch: int) -> np.ndarray:

@@ -89,6 +89,8 @@ class TrainConfig:
             raise ConfigError(f"unknown decoder {self.decoder!r}")
         if not self.lam_temp > 0:
             raise ConfigError(f"lam_temp must be positive, got {self.lam_temp}")
+        if not self.lam_sparse >= 0:  # a negative weight would reward dense masks
+            raise ConfigError(f"lam_sparse must be >= 0, got {self.lam_sparse}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.stretch = StretchConfig(gamma=self.gamma, eta=self.eta)  # not a field: asdict skips it

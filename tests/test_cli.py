@@ -147,7 +147,9 @@ class TestConfigValidation:
         assert "data_seed" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("key,value", [("gamma", 0.5), ("eta", 0.9), ("lam_temp", 0.0)])
+    @pytest.mark.parametrize(
+        "key,value", [("gamma", 0.5), ("eta", 0.9), ("lam_temp", 0.0), ("lam_sparse", -0.1)]
+    )
     def test_bad_stretch_constants_fail_before_any_output(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "run"), **{key: value})
         assert cli_main(["train", "--config", str(cfg)]) == 1

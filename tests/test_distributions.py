@@ -218,18 +218,34 @@ class TestExpectedL0:
         t = 0.3 * cfg.log_odds_threshold
         assert expected_l0(np.array([t - 0.01, t + 0.01]), np.zeros(2), 0.3, cfg) == 1.0
 
-    def test_tensor_version_matches_and_differentiates(self):
+    @pytest.mark.parametrize("family", ["normal", "logistic"])
+    def test_tensor_version_matches_and_differentiates(self, family):
         cfg = StretchConfig()
         rng = np.random.default_rng(7)
         mu0 = rng.uniform(-1, 1, size=6)
-        rn0 = rng.uniform(0.4, 2.0, size=6)
-        tape = ad.Tape()
-        out = dist.expected_l0_terms(tape.constant(mu0), tape.constant(rn0), 0.3, cfg).sum()
-        assert out.item() == pytest.approx(expected_l0(mu0, rn0, 0.3, cfg), rel=1e-12)
-        err = grad_check(
-            lambda t: dist.expected_l0_terms(t, t.tape.constant(rn0), 0.3, cfg).sum(), mu0
-        )
-        assert err < 1e-4
+        rn0 = rng.uniform(0.4, 2.0, size=6) if family == "normal" else None
+
+        def terms(mu):  # a scale of None is the concrete kind's unit logistic
+            return dist.expected_l0_terms(mu, None if rn0 is None else mu.tape.constant(rn0), 0.3, cfg)
+
+        if rn0 is None:
+            # bit for bit the concrete sparsity chain sigmoid_temp(log_alpha - t, 1)
+            def chain(mu):
+                return ad.sigmoid_temp(mu - 0.3 * cfg.log_odds_threshold, 1.0)
+
+            def run(f):
+                tape = ad.Tape()
+                mu = tape.param(mu0)
+                out = f(mu)
+                tape.backward(out.sum())
+                return out.data.tobytes(), mu.grad.tobytes()
+
+            assert run(terms) == run(chain)
+            expect = (1 / (1 + np.exp(0.3 * cfg.log_odds_threshold - mu0))).sum()
+        else:
+            expect = expected_l0(mu0, rn0, 0.3, cfg)
+        assert terms(ad.Tape().constant(mu0)).sum().item() == pytest.approx(expect, rel=1e-12)
+        assert grad_check(lambda t: terms(t).sum(), mu0) < 1e-4
 
 
 class TestCollapseProb:
@@ -301,7 +317,7 @@ class TestConcrete:
         rng = np.random.default_rng(11)
         log_alpha = np.array([0.7])
         tape = ad.Tape()
-        closed = dist.concrete_l0_terms(tape.constant(log_alpha), 2 / 3, cfg).sum().item()
+        closed = dist.expected_l0_terms(tape.constant(log_alpha), None, 2 / 3, cfg).sum().item()
         n = 1_000_000
         u = rng.uniform(1e-12, 1 - 1e-12, size=n)
         x = 1 / (1 + np.exp(-(log_alpha[0] + np.log(u) - np.log1p(-u)) / (2 / 3)))

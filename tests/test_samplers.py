@@ -113,6 +113,17 @@ class TestHypernetForward:
         b = forward_mean("hypernet", p, z)
         assert a == b
 
+    def test_contraction_alone_carries_no_law(self):
+        # without the row norm there is no scale, and a law whose scale is
+        # None would read as the concrete kind's unit logistic
+        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=2)
+        tape = ad.Tape()
+        leaves = {name: tape.constant(arr) for name, arr in p.arrays.items()}
+        z = tape.constant(np.random.default_rng(2).standard_normal((4, 3)))
+        pre, law = sp._hypernet_pre(leaves, z, norm=False)
+        assert law is None
+        np.testing.assert_array_equal(pre.data, sp._hypernet_pre(leaves, z)[0].data)
+
     def test_gradcheck_every_weight_tensor(self):
         n, d, k = 2, 3, 4
         p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=3)
@@ -289,6 +300,11 @@ class TestIndependentForward:
 
 
 class TestConcreteForward:
+    def test_law_is_log_alpha_at_unit_logistic_scale(self):
+        p = sp.SamplerParams("concrete", {"log_alpha": np.zeros(4)}, 2 / 3, 2)
+        out = sp.sampler_forward(ad.Tape(), p, np.full((4, 1), 0.5), CFG)
+        assert out.law[0] is out.leaves["log_alpha"] and out.law[1] is None
+
     def test_saturation(self):
         for la, expect in [(60.0, 1.0), (-60.0, 0.0)]:
             p = sp.SamplerParams("concrete", {"log_alpha": np.full(4, la)}, 2 / 3, 2)
