@@ -221,31 +221,30 @@ class TestExpectedL0:
     @pytest.mark.parametrize("family", ["normal", "logistic"])
     def test_tensor_version_matches_and_differentiates(self, family):
         cfg = StretchConfig()
+        t = 0.3 * cfg.log_odds_threshold
         rng = np.random.default_rng(7)
         mu0 = rng.uniform(-1, 1, size=6)
-        rn0 = rng.uniform(0.4, 2.0, size=6) if family == "normal" else None
+        rn0 = rng.uniform(0.4, 2.0, size=6)
+        if family == "normal":
+            expect = expected_l0(mu0, rn0, 0.3, cfg)
+        else:  # a scale of None is the concrete kind's unit logistic
+            rn0, expect = None, (1 / (1 + np.exp(t - mu0))).sum()
 
-        def terms(mu):  # a scale of None is the concrete kind's unit logistic
+        def terms(mu):
             return dist.expected_l0_terms(mu, None if rn0 is None else mu.tape.constant(rn0), 0.3, cfg)
 
-        if rn0 is None:
-            # bit for bit the concrete sparsity chain sigmoid_temp(log_alpha - t, 1)
-            def chain(mu):
-                return ad.sigmoid_temp(mu - 0.3 * cfg.log_odds_threshold, 1.0)
+        def forward_and_grad_bytes(f):
+            tape = ad.Tape()
+            mu = tape.param(mu0)
+            out = f(mu)
+            tape.backward(out.sum())
+            return out.data.tobytes(), mu.grad.tobytes()
 
-            def run(f):
-                tape = ad.Tape()
-                mu = tape.param(mu0)
-                out = f(mu)
-                tape.backward(out.sum())
-                return out.data.tobytes(), mu.grad.tobytes()
-
-            assert run(terms) == run(chain)
-            expect = (1 / (1 + np.exp(0.3 * cfg.log_odds_threshold - mu0))).sum()
-        else:
-            expect = expected_l0(mu0, rn0, 0.3, cfg)
         assert terms(ad.Tape().constant(mu0)).sum().item() == pytest.approx(expect, rel=1e-12)
-        assert grad_check(lambda t: terms(t).sum(), mu0) < 1e-4
+        assert grad_check(lambda mu: terms(mu).sum(), mu0) < 1e-4
+        if rn0 is None:  # bit for bit the concrete kind's own chain, sigmoid_temp(log_alpha - t, 1)
+            chain = forward_and_grad_bytes(lambda mu: ad.sigmoid_temp(mu - t, 1.0))
+            assert forward_and_grad_bytes(terms) == chain
 
 
 class TestCollapseProb:
