@@ -56,11 +56,14 @@ def logitnormal_pdf(y, mu: float, sigma: float):
     y_arr = np.asarray(y, dtype=np.float64)
     if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0):
         raise DomainError("logitnormal_pdf defined on the open interval (0, 1)")
-    logit = np.log(y_arr / (1.0 - y_arr))
-    dens = (
-        np.exp(-((logit - mu) ** 2) / (2.0 * sigma * sigma))
-        / (sigma * math.sqrt(2.0 * math.pi) * y_arr * (1.0 - y_arr))
-    )
+    with np.errstate(all="ignore"):  # a subnormal sigma underflows to 0/0; checked below
+        logit = np.log(y_arr / (1.0 - y_arr))
+        dens = (
+            np.exp(-((logit - mu) ** 2) / (2.0 * sigma * sigma))
+            / (sigma * math.sqrt(2.0 * math.pi) * y_arr * (1.0 - y_arr))
+        )
+    if not np.isfinite(dens).all():
+        raise ParameterError(f"density at mu={mu}, sigma={sigma} is not finite")
     return float(dens) if np.ndim(y) == 0 else dens
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+import typing
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -45,7 +46,8 @@ METRICS_HEADER = ("epoch", "recon_mse", "sparsity_l0", "total", "wall_seconds")
 
 @dataclass
 class TrainConfig:
-    """Everything a training run depends on, seed included."""
+    """Everything a training run depends on, seed included.  Construction
+    checks every field's type (``_fits``) and range, whoever the caller."""
 
     n: int = 28  # image side
     sampler: str = "vanilla"
@@ -66,21 +68,22 @@ class TrainConfig:
     filters: int = 16
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
+            options = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if not _fits(value, options):
+                expected = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+                raise ConfigError(f"config key {f.name!r} must be {expected}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("latent_dim", "rep_width", "hidden", "filters"):
+        for name in ("n", "batch_size", "latent_dim", "rep_width", "hidden", "filters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sampler not in KINDS:
@@ -94,6 +97,15 @@ class TrainConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.stretch = StretchConfig(gamma=self.gamma, eta=self.eta)  # not a field: asdict skips it
+
+
+def _fits(value, options: tuple[type, ...]) -> bool:
+    """Whether a value has one of a field's types: no bool for int, int (numpy's too) for float."""
+    if isinstance(value, bool):
+        return bool in options
+    if isinstance(value, (int, np.integer)):
+        return int in options or float in options
+    return isinstance(value, options)
 
 
 @dataclass

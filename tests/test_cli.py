@@ -12,6 +12,7 @@ from masko import model as md
 from masko import samplers as sp
 from masko.cli import RunConfig, cli_main
 from masko.data import load_idx, write_idx_images
+from masko.errors import ConfigError
 from masko.training import TrainConfig, save_checkpoint
 
 from oracles import read_pgm
@@ -87,6 +88,17 @@ class TestTrainCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: MemoryError: ")
+
+    @pytest.mark.parametrize("flag", ["--data-count", "--latent-dim"])
+    def test_integer_too_large_for_a_float_is_a_runtime_error(self, tmp_path, capsys, flag):
+        # the test split's round(count * fraction) and the init scale sqrt(3 / d)
+        # convert to float; the last --data-count given is the one that counts
+        code = cli_main(
+            ["train", "--dataset", "field", "--data-count", "16", "--side", "8",
+             "--epochs", "1", "--out", str(tmp_path / "D"), flag, "1" + "0" * 400]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: OverflowError: ")
 
     def test_idx_dataset_round_trip(self, tmp_path):
         assert cli_main(
@@ -179,6 +191,25 @@ class TestConfigValidation:
         assert cli_main(["train", "--config", str(cfg)]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "cls,key,value,fits",
+        [
+            (TrainConfig, "batch_size", True, False),
+            (TrainConfig, "n", 28.0, False),
+            (TrainConfig, "lr", "0.002", False),
+            (RunConfig, "data_seed", 1.5, False),
+            (TrainConfig, "lr", 1, True),
+            (TrainConfig, "seed", np.int64(3), True),
+            (RunConfig, "data_seed", None, True),
+        ],
+    )
+    def test_code_that_builds_a_config_gets_the_json_type_rule(self, cls, key, value, fits):
+        if fits:
+            assert getattr(cls(**{key: value}), key) == value
+        else:
+            with pytest.raises(ConfigError, match=repr(key)):
+                cls(**{key: value})
 
     def test_int_for_float_and_null_for_optional_are_echoed_as_given(self, tmp_path):
         cfg = write_config(
@@ -354,9 +385,12 @@ class TestExportCovCommand:
         assert code == 2
         assert "outside 0..15" in capsys.readouterr().err  # 16 pixels, the last is 15
 
-    @pytest.mark.parametrize("start,size", [(-1, 4), (0, 0), (0, 10**12), (-(10**12), 10**12 + 4)])
+    @pytest.mark.parametrize(
+        "start,size",
+        [(-1, 4), (0, 0), (0, 10**12), (-(10**12), 10**12 + 4), (10**30, 4), (-(10**30), 4)],
+    )
     def test_window_edges_and_huge_windows(self, tmp_path, capsys, start, size):
-        # the last two would need terabytes if the window were materialized
+        # the last four would need terabytes or more if the window were materialized
         p = sp.init_sampler("vanilla", n=4, d=4, seed=3)
         save_checkpoint(p, None, tmp_path / "ckpt.bin")
         code = cli_main(
@@ -364,6 +398,7 @@ class TestExportCovCommand:
              "--cov-start", str(start), "--cov-size", str(size), "--out", str(tmp_path / "cov")]
         )
         assert code == 2
+        assert "outside 0..15" in capsys.readouterr().err
         assert not (tmp_path / "cov").exists()
 
 
@@ -466,7 +501,8 @@ class TestDensityPlotCommand:
         assert abs(np.trapezoid(dens, ys) - 1.0) < 1e-4
 
     @pytest.mark.parametrize(
-        "mu,sigma", [("nan", "1"), ("inf", "1"), ("-inf", "1"), ("0", "inf"), ("0", "nan")]
+        "mu,sigma",
+        [("nan", "1"), ("inf", "1"), ("-inf", "1"), ("0", "inf"), ("0", "nan"), ("0", "1e-320")],
     )
     def test_non_finite_parameters_are_rejected(self, tmp_path, capsys, mu, sigma):
         code = cli_main(["density-plot", f"--mu={mu}", f"--sigma={sigma}", "--out", str(tmp_path)])

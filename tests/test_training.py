@@ -43,7 +43,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="gamma"):
             tr.TrainConfig(gamma=gamma, eta=eta)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed_must_fit_the_philox_key(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             tr.TrainConfig(seed=seed)
