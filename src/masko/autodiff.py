@@ -31,10 +31,13 @@ the tape.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from .errors import ContractError, DimensionError, ParameterError
 
@@ -426,7 +429,13 @@ def normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF as a differentiable primitive."""
 
     def back(g, needs):
-        return (g * np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI,)
+        # g * exp(-0.5 * x * x) / sqrt(2 pi) in one buffer, rounded in that order.
+        t = np.multiply(x.data, -0.5)
+        t *= x.data
+        np.exp(t, out=t)
+        t *= g
+        t *= _INV_SQRT_2PI
+        return (t,)
 
     return x.tape.record(_ndtr(x.data), (x,), back)
 
@@ -522,6 +531,24 @@ def _pad_rows(x: np.ndarray, pad: int) -> np.ndarray:
     return rows
 
 
+@functools.cache
+def _blas_dgemm() -> Callable | None:
+    """The Fortran ``dgemm`` of the OpenBLAS that numpy's wheel bundles, with
+    64-bit integer arguments, or None where numpy's build exports none (one
+    linked to MKL or a system BLAS).  Looked up through numpy's own extension,
+    whose dependencies dlsym also searches, so no path is assumed."""
+    try:
+        gemm = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgemm_64_
+    except (AttributeError, OSError):
+        return None
+    gemm.restype = None
+    return gemm
+
+
+def _byref_i64(v: int):
+    return ctypes.byref(ctypes.c_int64(v))
+
+
 def _correlate_rows(
     rows: np.ndarray,
     k: np.ndarray,
@@ -540,30 +567,56 @@ def _correlate_rows(
     the :func:`_pad_rows` layout.  In that layout an offset's window over
     a panel of :data:`PANEL` rows, and the output panel, are contiguous
     blocks, so each offset adds its GEMM into the panel inside BLAS:
-    ``dgemm`` with beta 0 for the first offset and 1 after it, at every
-    layer width.  Each panel's epilogue adds ``bias``, takes the leaky ReLU
-    as ``max(v, slope*v)`` (the bits of ``where(v > 0, v, slope*v)`` for
+    :func:`_blas_dgemm` with beta 0 for the first offset and 1 after it,
+    at every layer width.  Where numpy's build has no such symbol, numpy's
+    ``matmul`` writes each offset's product and the panel adds it.  Each
+    panel's epilogue adds ``bias``, takes the leaky ReLU as
+    ``max(v, slope*v)`` (the bits of ``where(v > 0, v, slope*v)`` for
     0 < slope < 1) and adds the ``skip`` rows; the halo is zeroed last.
     Measurements: CHANGES.md.
     """
-    from scipy.linalg.blas import dgemm  # here, so that MLP runs never pay its import
-
-    co, _, kh, kw = k.shape
+    co, ci, kh, kw = k.shape
     pad = kh // 2
     hp, wp = h + 2 * pad, w + 2 * pad
     n = nb * hp * wp
     lead = pad * (wp + 1)
     shifts = [di * wp + dj for di in range(kh) for dj in range(kw)]
-    taps = [np.asfortranarray(k[:, :, di, dj]) for di in range(kh) for dj in range(kw)]
+    taps = [np.asfortranarray(k[:, :, di, dj], dtype=np.float64) for di in range(kh) for dj in range(kw)]
     out = np.empty((n + 2 * lead, co))
     scratch = np.empty((min(PANEL, n), co))
     if bias is not None:
         bias_rows = np.tile(bias, (min(PANEL, n), 1))
+    # BLAS reads these buffers through raw pointers, which have no bounds check.
+    if rows.shape != (n + 2 * lead, ci) or rows.dtype != np.float64 or not rows.flags.c_contiguous:
+        want = (n + 2 * lead, ci)
+        raise ContractError(f"conv2d rows must be C-contiguous float64 {want}, got {rows.dtype} {rows.shape}")
+    if not (out.flags.c_contiguous and all(t.flags.f_contiguous and t.shape == (co, ci) for t in taps)):
+        raise ContractError("conv2d output or kernel taps are not laid out for BLAS")
+    gemm = _blas_dgemm()
+    if gemm is not None:
+        # Column-major 'N', 'N': the (C_out, rows) panel from the (C_out,
+        # C_in) tap and the (C_in, rows) window, each of which is contiguous.
+        width = ctypes.c_int64()
+        one = ctypes.byref(ctypes.c_double(1.0))
+        dims = (b"N", b"N", _byref_i64(co), ctypes.byref(width), _byref_i64(ci), one)
+        ld_co, ld_ci = _byref_i64(max(co, 1)), _byref_i64(max(ci, 1))
+        betas = [ctypes.byref(ctypes.c_double(float(s > 0))) for s in shifts]
+        tap_ptrs = [ctypes.c_void_p(t.ctypes.data) for t in taps]
+        rows_at, out_at = rows.ctypes.data, out.ctypes.data + 8 * co * lead
     for a in range(0, n, PANEL):
         b = min(a + PANEL, n)
         panel, term = out[lead + a : lead + b], scratch[: b - a]
-        for s, kk in zip(shifts, taps):
-            dgemm(1.0, kk, rows[s + a : s + b].T, float(s > 0), panel.T, overwrite_c=1)
+        if gemm is None:
+            np.matmul(rows[a:b], taps[0].T, out=panel)
+            for s, kk in zip(shifts[1:], taps[1:]):
+                np.matmul(rows[s + a : s + b], kk.T, out=term)
+                panel += term
+        else:
+            width.value = b - a
+            panel_ptr = ctypes.c_void_p(out_at + 8 * co * a)
+            for s, kk, beta in zip(shifts, tap_ptrs, betas):
+                window_ptr = ctypes.c_void_p(rows_at + 8 * ci * (s + a))
+                gemm(*dims, kk, ld_co, window_ptr, ld_ci, beta, panel_ptr, ld_co)
         if bias is not None:
             panel += bias_rows[: b - a]
         if slope is not None:

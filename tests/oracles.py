@@ -263,8 +263,9 @@ def _correlate_rows(
     stay in cache across the offsets.  With one input channel the product
     is a broadcast multiply of the (C_out, 1) tap with the (1, panel) row,
     not a GEMM with inner dimension 1.  With one output channel it is
-    scipy's dgemm, which ``autodiff.conv2d`` calls at every width and which
-    rounds a one-row product in another order than numpy's.  Either way
+    scipy's dgemm, which rounds a one-row product in another order than
+    numpy's matmul, and in the order of the dgemm in numpy's OpenBLAS that
+    ``autodiff.conv2d`` calls at every width.  Either way
     each output element sums the same products in the same offset order
     as one full-width GEMM per offset.
 

@@ -13,7 +13,7 @@ from scipy.linalg.blas import dgemm
 from masko import autodiff as ad
 from masko.errors import ContractError, DimensionError, ParameterError
 
-from oracles import grad_check, ndtr_cephes
+from oracles import conv2d_channel_major, grad_check, ndtr_cephes
 
 
 def matmul_loops(a, b):
@@ -306,6 +306,18 @@ class TestScipySpecialInNumpy:
         assert np.isnan(ad._expit(np.array([np.nan]), lam)).all()
 
 
+def test_normal_cdf_gradient_bytes_as_one_expression():
+    # The backward runs in one buffer, rounded as the expression it replaced.
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((784, 128))
+    x[0, :10] = [0.0, -0.0, 1e-160, -1e-160, 1.0, -1.0, 40.0, -40.0, np.inf, -np.inf]
+    g = rng.standard_normal(x.shape)
+    tape = ad.Tape()
+    xt = tape.param(x)
+    tape.backward((ad.normal_cdf(xt) * tape.constant(g)).sum())
+    assert xt.grad.tobytes() == (g * np.exp(-0.5 * x * x) * ad._INV_SQRT_2PI).tobytes()
+
+
 class TestClamp01:
     @pytest.mark.parametrize("x,expect", [(0.5, 0.5), (-0.1, 0.0), (1.1, 1.0)])
     def test_values(self, x, expect):
@@ -390,8 +402,9 @@ class TestConv2d:
         # The padded rows span several panels and end in a short one; the
         # panels must not move a bit against full-width per-offset GEMMs
         # over channel-major padded rows, summed in numpy.  A one-row
-        # product is scipy's dgemm, which conv2d calls at every width and
-        # which rounds a C_out = 1 sum in its own order.  The kernel
+        # product is a BLAS dgemm (scipy's here; conv2d calls the one in
+        # numpy's OpenBLAS at every width, with the same bits), which
+        # rounds a C_out = 1 sum in another order than numpy's.  The kernel
         # gradient sums each offset's products over the same panels.
         nb, _, h, w = x_shape
         wp, n = w + 2, nb * (h + 2) * (w + 2)
@@ -471,8 +484,8 @@ class TestConv2d:
 
     def test_forward_and_backward_allocate_no_im2col_matrix(self):
         # A 3x3 im2col matrix alone is 9 x.nbytes; the padded-row GEMMs
-        # peak at about 5.7 x.nbytes here.  The first conv2d imports
-        # scipy's BLAS, whose allocations are not the op's.
+        # peak at about 5.7 x.nbytes here.  The first conv2d looks up
+        # numpy's dgemm through ctypes, whose allocations are not the op's.
         rng = np.random.default_rng(6)
         x = cm(rng.standard_normal((64, 16, 28, 28)))
         k = rng.standard_normal((16, 16, 3, 3))
@@ -497,6 +510,35 @@ class TestConv2d:
         tape = ad.Tape()
         with pytest.raises(DimensionError):
             ad.conv2d(tape.constant(np.zeros((1, 4, 4))), tape.constant(np.zeros((1, 1, 3, 3))))
+
+
+class TestConv2dWithoutNumpysBlasSymbol:
+    """A numpy build that exports no ``scipy_dgemm_64_`` (one linked to MKL
+    or a system BLAS) runs each offset's product through ``np.matmul``;
+    there the bits may move, where numpy runs a C_out = 1 product as gemv."""
+
+    @pytest.mark.parametrize("ci,co", [(1, 16), (16, 16), (16, 1)])  # the decoder's three layer widths
+    def test_forward_and_gradients_match_the_channel_major_oracle(self, monkeypatch, ci, co):
+        rng = np.random.default_rng(ci * 100 + co)
+        x = rng.standard_normal((ci, 3, 28, 28))  # 2,700 padded rows: a full panel and a short one
+        k = rng.standard_normal((co, ci, 3, 3))
+        bias = rng.standard_normal(co)
+        g = rng.standard_normal((co, 3, 28, 28))
+
+        def run(conv):
+            tape = ad.Tape()
+            xt, kt, bt = tape.param(x), tape.param(k), tape.param(bias)
+            out = conv(xt, kt, bt, slope=0.2)
+            tape.backward((out * tape.constant(g)).sum())
+            return out.data, xt.grad, kt.grad, bt.grad
+
+        want = run(conv2d_channel_major)
+        resolved = []
+        monkeypatch.setattr(ad, "_blas_dgemm", lambda: resolved.append(None))
+        got = run(ad.conv2d)
+        assert len(resolved) == 2  # the forward and the input gradient's correlation
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestConv2dLayer:

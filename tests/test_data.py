@@ -235,7 +235,7 @@ def test_program_runs_without_scipy_ndimage():
         "from masko import training as tr\n"
         "from masko.data import gen_digits\n"
         "from masko.rng import STREAM_LATENT, stream\n"
-        "from masko.evaluate import collapse_distribution\n"
+        "from masko.evaluate import collapse_distribution, eval_fixed_mask\n"
         "images = gen_digits(20, n=12).images\n"
         "batch = np.ascontiguousarray(images.reshape(20, 144).T)\n"
         "for kind in ('vanilla', 'hypernet', 'independent', 'concrete'):\n"
@@ -244,8 +244,13 @@ def test_program_runs_without_scipy_ndimage():
         "    state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))\n"
         "    tr.train_step(batch, params, dec, state, cfg, stream(0, STREAM_LATENT))\n"
         "    collapse_distribution(params, mc_samples=16)\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "assert 'scipy.ndimage' not in loaded and 'scipy.special' not in loaded, loaded\n"
+        "cfg = tr.TrainConfig(n=12, sampler='concrete', decoder='conv_resnet', filters=4, latent_dim=4)\n"
+        "params, dec = tr.init_run(cfg)\n"
+        "state = tr.AdamState.for_arrays(tr._named_arrays(params, dec))\n"
+        "tr.train_step(batch, params, dec, state, cfg, stream(0, STREAM_LATENT))\n"
+        "eval_fixed_mask(np.ones((12, 12)), dec, images[:4])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(masko.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)

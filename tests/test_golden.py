@@ -15,9 +15,10 @@ benchmark runs them.
 The digests depend on the platform: a different BLAS, CPU or numpy build
 may sum in a different order and change the low bits.  They also depend
 on the SIMD code numpy dispatches to for ``exp`` and ``log``: masko's
-sigmoid and normal CDF run on numpy's ``exp``, not on scipy.special, which
-the program no longer imports (scipy serves only conv2d's BLAS call).  The
-digests were recorded on x86-64 with AVX-512, OpenBLAS and numpy 2.4.
+sigmoid and normal CDF run on numpy's ``exp``, not on scipy.special, and
+conv2d's GEMMs call the dgemm of the OpenBLAS bundled with numpy; the
+program imports no scipy.  The digests were recorded on x86-64 with
+AVX-512, OpenBLAS and numpy 2.4.
 Bytes are fixed at a given BLAS thread count.  These digests hold at 1
 and at 2 threads, but only because of their small shapes: at n=28 the
 MLP runs' products with K = 784 differ between the two counts.  If only
@@ -112,8 +113,8 @@ def run_one_thread(script: str, tmp_path) -> list[str]:
 
 def test_conv_digests_at_one_blas_thread(tmp_path):
     # The tests run at the machine's BLAS thread count and the benchmark at
-    # one, and conv2d calls two OpenBLAS builds (numpy's and scipy's).  One
-    # process checks the 4 conv_resnet pairs with both builds at 1 thread.
+    # one, and conv2d's GEMMs sum panels in BLAS.  One process checks the 4
+    # conv_resnet pairs with numpy's OpenBLAS at 1 thread.
     script = (
         "import pathlib, sys\n"
         "from test_golden import GOLDEN, run_digests\n"

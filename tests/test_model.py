@@ -157,8 +157,8 @@ class TestConvResnetBits:
     def test_gradient_bytes_equal_at_one_and_two_blas_threads(self):
         # The benchmark's 16-filter decoder, whose 16 -> 16 kernel gradients
         # sum panels, and the golden runs' 4 filters, a width no workload
-        # runs, both at n=28.  One process per thread count, for numpy's and
-        # scipy's OpenBLAS alike.
+        # runs, both at n=28.  One process per thread count; conv2d's GEMMs
+        # and numpy's matmul both run in numpy's OpenBLAS.
         script = (
             "import hashlib\n"
             "import numpy as np\n"
