@@ -536,17 +536,16 @@ def _blas_dgemm() -> Callable | None:
     """The Fortran ``dgemm`` of the OpenBLAS that numpy's wheel bundles, with
     64-bit integer arguments, or None where numpy's build exports none (one
     linked to MKL or a system BLAS).  Looked up through numpy's own extension,
-    whose dependencies dlsym also searches, so no path is assumed."""
+    whose dependencies dlsym also searches, so no path is assumed.  It has
+    no ``argtypes``: callers pass only ctypes objects (byref scalars and
+    ``c_void_p`` addresses), and the per-call conversion that ``argtypes``
+    adds doubled the cost of a call, of which a conv2d step makes ~650."""
     try:
         gemm = ctypes.CDLL(_multiarray_umath.__file__).scipy_dgemm_64_
     except (AttributeError, OSError):
         return None
     gemm.restype = None
     return gemm
-
-
-def _byref_i64(v: int):
-    return ctypes.byref(ctypes.c_int64(v))
 
 
 def _correlate_rows(
@@ -587,20 +586,19 @@ def _correlate_rows(
     if bias is not None:
         bias_rows = np.tile(bias, (min(PANEL, n), 1))
     # BLAS reads these buffers through raw pointers, which have no bounds check.
-    if rows.shape != (n + 2 * lead, ci) or rows.dtype != np.float64 or not rows.flags.c_contiguous:
-        want = (n + 2 * lead, ci)
-        raise ContractError(f"conv2d rows must be C-contiguous float64 {want}, got {rows.dtype} {rows.shape}")
-    if not (out.flags.c_contiguous and all(t.flags.f_contiguous and t.shape == (co, ci) for t in taps)):
-        raise ContractError("conv2d output or kernel taps are not laid out for BLAS")
+    want = (n + 2 * lead, ci)
+    rows_ok = rows.shape == want and rows.dtype == np.float64 and rows.flags.c_contiguous
+    taps_ok = all(t.flags.f_contiguous and t.shape == (co, ci) for t in taps)
+    if not (rows_ok and taps_ok and out.flags.c_contiguous):
+        raise ContractError(f"conv2d needs C-contiguous float64 rows {want}, got {rows.dtype} {rows.shape}")
     gemm = _blas_dgemm()
     if gemm is not None:
         # Column-major 'N', 'N': the (C_out, rows) panel from the (C_out,
         # C_in) tap and the (C_in, rows) window, each of which is contiguous.
-        width = ctypes.c_int64()
-        one = ctypes.byref(ctypes.c_double(1.0))
-        dims = (b"N", b"N", _byref_i64(co), ctypes.byref(width), _byref_i64(ci), one)
-        ld_co, ld_ci = _byref_i64(max(co, 1)), _byref_i64(max(ci, 1))
-        betas = [ctypes.byref(ctypes.c_double(float(s > 0))) for s in shifts]
+        byref, i64, width = ctypes.byref, ctypes.c_int64, ctypes.c_int64()
+        dims = (b"N", b"N", byref(i64(co)), byref(width), byref(i64(ci)), byref(ctypes.c_double(1.0)))
+        ld_co, ld_ci = byref(i64(max(co, 1))), byref(i64(max(ci, 1)))
+        betas = [byref(ctypes.c_double(float(s > 0))) for s in shifts]
         tap_ptrs = [ctypes.c_void_p(t.ctypes.data) for t in taps]
         rows_at, out_at = rows.ctypes.data, out.ctypes.data + 8 * co * lead
     for a in range(0, n, PANEL):
