@@ -1,4 +1,4 @@
-"""Binary checkpoint format: a sampler blob, optionally followed by a decoder blob.
+"""Binary checkpoint format: a sampler blob, then the decoder blob trained with it.
 
 Sampler blob, little endian: magic "MSKO" | version u32 | kind u8 | n u32 |
 d u32 | k u32, where d and k are 0 if the kind has no such dimension; then
@@ -9,7 +9,8 @@ its arrays.  Arrays follow the declaration order of the kind's layout in
 
 Reading checks every byte count a header implies against what remains of
 the file before reading it, requires a finite positive temperature, and
-rejects bytes after the last blob; each violation is a ``FormatError``.
+rejects a file that ends before the decoder blob or has bytes after it;
+each violation is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def sampler_to_bytes(params: SamplerParams) -> bytes:
 
 def read_sampler(f) -> SamplerParams:
     """Read one sampler blob from a binary stream, leaving it positioned
-    just past the blob (a decoder blob may follow in a training checkpoint).
+    just past the blob, where a checkpoint's decoder blob starts.
     """
     magic, version, tag, n, d, k = _HEADER.unpack(read_exact(f, _HEADER.size))
     if magic != MAGIC:
@@ -90,20 +91,17 @@ def read_decoder(f) -> Decoder:
     return Decoder(kind, _read_arrays(f, DECODER_KINDS[kind].layout(n * n, width)), n, width)
 
 
-def save_checkpoint(params: SamplerParams, dec: Decoder | None, path: str | Path) -> None:
-    """Sampler blob, then decoder blob when present; atomic replace."""
-    blob = sampler_to_bytes(params)
-    if dec is not None:
-        blob += decoder_to_bytes(dec)
-    write_atomic(path, blob)
+def save_checkpoint(params: SamplerParams, dec: Decoder, path: str | Path) -> None:
+    """Sampler blob, then decoder blob; atomic replace."""
+    write_atomic(path, sampler_to_bytes(params) + decoder_to_bytes(dec))
 
 
-def load_checkpoint(path: str | Path) -> tuple[SamplerParams, Decoder | None]:
+def load_checkpoint(path: str | Path) -> tuple[SamplerParams, Decoder]:
     with open(path, "rb") as f:
         params = read_sampler(f)
-        dec = read_decoder(f) if f.peek(1) else None
+        dec = read_decoder(f)
         if f.read(1):
             raise FormatError(f"{path}: unexpected bytes after the last blob")
-    if dec is not None and dec.n != params.n:
+    if dec.n != params.n:
         raise FormatError(f"decoder side {dec.n} does not match sampler side {params.n}")
     return params, dec

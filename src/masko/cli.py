@@ -78,8 +78,11 @@ class RunConfig(TrainConfig):
             raise ConfigError(f"data_seed must lie in [0, 2**64), got {self.data_seed}")
 
 
-def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    """Merge a JSON config file with non-None flag overrides."""
+def load_run_config(args: argparse.Namespace) -> RunConfig:
+    """Merge the ``--config`` JSON file, where the subcommand has one, with
+    the subcommand's flags that were given (not None)."""
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    path = getattr(args, "config", None)  # gen-data has no --config
     values: dict = {}
     if path is not None:
         try:
@@ -91,11 +94,10 @@ def load_run_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = sorted(set(values) - known)
+        unknown = sorted(set(values) - set(keys))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update({k: getattr(args, k) for k in keys if getattr(args, k, None) is not None})
     return RunConfig(**values)
 
 
@@ -136,11 +138,17 @@ def _write_json(path: Path, obj: dict) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    train, _ = resolve_datasets(cfg)
-    out = Path(cfg.out_dir)
+def _out_dir(path: str) -> Path:
+    """The output directory, created with its parents if missing."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_train(args) -> int:
+    cfg = load_run_config(args)
+    train, _ = resolve_datasets(cfg)
+    out = _out_dir(cfg.out_dir)
     _write_json(out / "config.json", dataclasses.asdict(cfg))
     result = train_loop(train.images, cfg, out_dir=out)
     last = result.metrics[-1]
@@ -153,30 +161,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = load_run_config(args)
     _, test = resolve_datasets(cfg)
     params, dec = load_checkpoint(args.checkpoint)
-    if dec is None:
-        raise ConfigError("checkpoint has no decoder; train before evaluating")
     collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
     rows = []
     for k, mask in zip(collapsed.mask_sizes, collapsed.masks):
         mse = eval_fixed_mask(mask, dec, test.images)
         rows.append([k, float(mse)])
         print(f"mask {k:5d} pixels: test mse {mse:.6f}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     write_csv(out / "eval.csv", ["mask_pixels", "test_mse"], rows)
     print(f"expected active pixels {collapsed.l0_estimate:.2f}; table in {out / 'eval.csv'}")
     return 0
 
 
 def cmd_collapse(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = load_run_config(args)
     params, _ = load_checkpoint(args.checkpoint)
     collapsed = collapse_distribution(params, mc_samples=cfg.mc_samples, seed=cfg.seed)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     n = collapsed.probs.shape[0]
     write_pgm(collapsed.probs, out / "probs.pgm")
     prob_rows = [
@@ -201,7 +205,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_export_cov(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = load_run_config(args)
     params, _ = load_checkpoint(args.checkpoint)
     # both ends clipped to [-1, n*n + 1]: the window stays out of range if it was,
     # but a huge cov_start or cov_size fails the range check without being allocated
@@ -209,8 +213,7 @@ def cmd_export_cov(args) -> int:
     start, stop = (min(max(i, -1), m + 1) for i in (cfg.cov_start, cfg.cov_start + cfg.cov_size))
     indices = np.arange(start, stop)
     cov = export_covariance(params, indices)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     header = [f"p{i}" for i in indices]
     write_csv(out / "covariance.csv", header, [[float(v) for v in row] for row in cov])
     print(f"{cov.shape[0]}x{cov.shape[1]} covariance window in {out / 'covariance.csv'}")
@@ -218,10 +221,9 @@ def cmd_export_cov(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_run_config(None, _overrides(args))
+    cfg = load_run_config(args)
     train, test = resolve_datasets(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     # digit pixels lie in [0, 1] and quantize to u8; field anomalies are unbounded
     dtype = "u8" if cfg.dataset == "digits" else "f64"
     for split, ds in (("train", train), ("test", test)):
@@ -238,8 +240,7 @@ def cmd_density_plot(args) -> int:
     eps = 1e-6
     ys = np.linspace(eps, 1.0 - eps, args.points)
     dens = logitnormal_pdf(ys, args.mu, args.sigma)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     rows = [[float(y), float(d)] for y, d in zip(ys, dens)]
     path = out / f"density_mu{args.mu}_sigma{args.sigma}.csv"
     write_csv(path, ["y", "density"], rows)
@@ -284,13 +285,6 @@ def _add_config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
     if "window" in groups:
         p.add_argument("--cov-start", dest="cov_start", type=int)
         p.add_argument("--cov-size", dest="cov_size", type=int)
-
-
-_OVERRIDE_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
-
-
-def _overrides(args) -> dict:
-    return {k: getattr(args, k) for k in _OVERRIDE_KEYS if hasattr(args, k)}
 
 
 def build_parser() -> _Parser:

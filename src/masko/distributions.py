@@ -36,8 +36,8 @@ class StretchConfig:
     hard threshold, so both endpoints carry probability mass.
     """
 
-    gamma: float = -0.1
-    eta: float = 1.1
+    gamma: float
+    eta: float
 
     def __post_init__(self) -> None:
         if not (self.gamma < 0.0 < 1.0 < self.eta):

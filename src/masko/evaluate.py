@@ -105,21 +105,19 @@ def eval_fixed_mask(mask: np.ndarray, dec: Decoder, images: np.ndarray, batch: i
     return total / (count * n * n)
 
 
-def export_covariance(params: SamplerParams, indices: np.ndarray | None = None) -> np.ndarray:
+def export_covariance(params: SamplerParams, indices: np.ndarray) -> np.ndarray:
     """Pre-sigmoid covariance W W^T on a pixel-index window.
 
     The window is a pixel-index list, such as a contiguous range or the
-    selected pixels of a collapsed mask; ``None`` means every pixel.
-    Returns the symmetric positive semi-definite block.
+    selected pixels of a collapsed mask.  Returns the symmetric positive
+    semi-definite block.
     """
     if params.kind != "vanilla":
         raise ContractError("covariance export requires the vanilla sampler")
     m = params.n * params.n
-    w = params.arrays["w"]
-    if indices is not None:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size < 1 or indices.min() < 0 or indices.max() >= m:
-            raise IndexError(f"pixel indices outside 0..{m - 1}")
-        w = w[indices]
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size < 1 or indices.min() < 0 or indices.max() >= m:
+        raise IndexError(f"pixel indices outside 0..{m - 1}")
+    w = params.arrays["w"][indices]
     cov = w @ w.T
     return (cov + cov.T) / 2.0  # exact symmetry regardless of BLAS order

@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .distributions import StretchConfig, expected_l0_terms
 from .errors import ConfigError, DimensionError
-from .rng import STREAM_INIT, stream
 from .samplers import LEAKY_SLOPE, SamplerOutput
 
 
@@ -110,20 +109,11 @@ def decoder_param_arrays(dec: Decoder) -> list[tuple[str, np.ndarray]]:
     return list(dec.arrays.items())
 
 
-def init_decoder(
-    kind: str,
-    n: int,
-    hidden: int = 256,
-    filters: int = 16,
-    rng: np.random.Generator | None = None,
-) -> Decoder:
+def init_decoder(kind: str, n: int, width: int, rng: np.random.Generator) -> Decoder:
     """Uniform fan-in-scaled weights, zero biases."""
     spec = DECODER_KINDS.get(kind)
     if spec is None:
         raise ConfigError(f"unknown decoder kind {kind!r}; expected one of {tuple(DECODER_KINDS)}")
-    if rng is None:
-        rng = stream(0, STREAM_INIT)
-    width = {"hidden": hidden, "filters": filters}[spec.width_field]
     arrays = {}
     for name, (shape, fan_in) in spec.layout(n * n, width).items():
         a = math.sqrt(3.0 / fan_in) if fan_in else 0.0

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .distributions import StretchConfig, collapse_prob, stretch
 from .errors import ConfigError, DimensionError, DomainError
-from .rng import STREAM_EVAL, STREAM_INIT, stream
+from .rng import STREAM_EVAL, stream
 
 LEAKY_SLOPE = 0.2
 HEAD_MACS = 1 << 22  # multiply-adds per F_W block (norm and backward only): 1 MiB at k=32, B=128
@@ -335,18 +335,12 @@ def draw_latent(params: SamplerParams, rng: np.random.Generator, batch: int) -> 
     return KINDS[params.kind].draw(rng, (params.d or params.n * params.n, batch))
 
 
-def init_sampler(
-    kind: str,
-    n: int,
-    d: int = 16,
-    lam: float = 0.3,
-    seed: int = 0,
-    k: int = 32,
-    rng: np.random.Generator | None = None,
-) -> SamplerParams:
+def init_sampler(kind: str, n: int, d: int, lam: float, k: int, rng: np.random.Generator) -> SamplerParams:
     """Initialize a sampler so each pixel's pre-sigmoid law is close to
     a standard normal: symmetric masks, both tails reachable, no interior
-    mode at the default temperature of 0.3.
+    mode at the default temperature of 0.3.  ``d`` and ``k`` are ignored
+    by kinds without that dimension; every draw comes from ``rng``, which
+    :func:`masko.training.init_run` opens on the run's init stream.
 
     Vanilla weights are uniform on [-a, a] with a = sqrt(3/d), making each
     row's pre-sigmoid variance 1 in expectation; biases start at 0.  The
@@ -357,8 +351,6 @@ def init_sampler(
     spec = KINDS.get(kind)
     if spec is None:
         raise ConfigError(f"unknown sampler kind {kind!r}; expected one of {tuple(KINDS)}")
-    if rng is None:
-        rng = stream(seed, STREAM_INIT)
     d = d if "d" in spec.dims else 0
     k = k if "k" in spec.dims else 0
     arrays = {

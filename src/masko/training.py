@@ -232,11 +232,9 @@ class TrainResult:
 def init_run(cfg: TrainConfig) -> tuple[SamplerParams, Decoder]:
     """Sampler then decoder drawn from the run's init stream, in that order."""
     rng = stream(cfg.seed, STREAM_INIT)
-    params = init_sampler(
-        cfg.sampler, n=cfg.n, d=cfg.latent_dim, lam=cfg.lam_temp, k=cfg.rep_width, rng=rng
-    )
-    dec = init_decoder(cfg.decoder, n=cfg.n, hidden=cfg.hidden, filters=cfg.filters, rng=rng)
-    return params, dec
+    params = init_sampler(cfg.sampler, cfg.n, cfg.latent_dim, cfg.lam_temp, cfg.rep_width, rng)
+    width = getattr(cfg, DECODER_KINDS[cfg.decoder].width_field)
+    return params, init_decoder(cfg.decoder, cfg.n, width, rng)
 
 
 def train_loop(

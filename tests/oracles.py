@@ -3,7 +3,9 @@
 None of these runs in the program: the CLI, the training loop and the
 benchmark never call them.  They are kept here, outside ``src/masko``, so
 that the library holds only what the program runs (``test_library_surface``
-checks this).
+checks this).  So are the tests' init shortcuts, :func:`init_sampler` and
+:func:`init_decoder`, which fill in the sizes and the random stream that
+:func:`masko.training.init_run` takes from a run's config.
 """
 
 from __future__ import annotations
@@ -18,14 +20,36 @@ from scipy.linalg.blas import dgemm
 from scipy.ndimage import gaussian_filter
 from scipy.special import ndtr
 
-from masko import autodiff
+from masko import autodiff, model, samplers
 from masko.autodiff import Tape, Tensor
 from masko.data import Dataset, _glyph_points, read_exact
 from masko.distributions import StretchConfig
 from masko.errors import ConfigError, ContractError, EvaluationError, FormatError, ParameterError
-from masko.rng import STREAM_DATA, STREAM_EVAL, stream
+from masko.rng import STREAM_DATA, STREAM_EVAL, STREAM_INIT, stream
 from masko.samplers import SamplerParams
 from masko.training import METRICS_HEADER, EpochMetrics
+
+
+def init_sampler(
+    kind: str, n: int, d: int = 16, lam: float = 0.3, seed: int = 0, k: int = 32
+) -> SamplerParams:
+    """``samplers.init_sampler`` on ``seed``'s init stream, with
+    ``TrainConfig``'s default sizes: the same bytes as the sampler that
+    ``init_run`` draws for that config."""
+    return samplers.init_sampler(kind, n, d, lam, k, stream(seed, STREAM_INIT))
+
+
+def init_decoder(
+    kind: str,
+    n: int,
+    hidden: int = 256,
+    filters: int = 16,
+    rng: np.random.Generator | None = None,
+) -> model.Decoder:
+    """``model.init_decoder`` with the width its kind reads from ``hidden``
+    or ``filters``; without ``rng``, on a fresh init stream of seed 0."""
+    width = {"hidden": hidden, "filters": filters}[model.DECODER_KINDS[kind].width_field]
+    return model.init_decoder(kind, n, width, stream(0, STREAM_INIT) if rng is None else rng)
 
 
 def grad_check(

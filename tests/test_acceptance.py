@@ -28,7 +28,7 @@ from masko.distributions import StretchConfig, collapse_prob
 from masko.evaluate import collapse_distribution, eval_fixed_mask, export_covariance, top_k_mask
 from masko.training import TrainConfig, init_run, train_loop
 
-from oracles import expected_l0, grad_check
+from oracles import expected_l0, grad_check, init_decoder, init_sampler
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -101,13 +101,13 @@ def test_criterion_1_gradient_suite():
     rng = np.random.default_rng(0)
     x0 = rng.random((n * n, nb))
     for sampler_kind in sp.KINDS:
-        params = sp.init_sampler(sampler_kind, n=n, d=6, k=8, seed=1)
+        params = init_sampler(sampler_kind, n=n, d=6, k=8, seed=1)
         if sampler_kind == "concrete":
             noise = rng.uniform(0.1, 0.9, size=(n * n, nb))
         else:
             noise = sp.draw_latent(params, np.random.default_rng(2), nb)
         for dec_kind in md.DECODER_KINDS:
-            dec = md.init_decoder(dec_kind, n=n, hidden=24, filters=6, rng=np.random.default_rng(3))
+            dec = init_decoder(dec_kind, n=n, hidden=24, filters=6, rng=np.random.default_rng(3))
             names = [f"s.{nm}" for nm, _ in sp.param_arrays(params)]
             names += [f"d.{nm}" for nm, _ in md.decoder_param_arrays(dec)]
             arrays = {f"s.{nm}": a for nm, a in sp.param_arrays(params)}

@@ -7,11 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from masko import samplers as sp
 from masko.checkpoint import save_checkpoint
 from masko.cli import build_parser
 from masko.data import write_idx_images, write_idx_labels, write_pgm
-from masko.training import EpochMetrics, write_metrics
+from masko.training import EpochMetrics, TrainConfig, init_run, write_metrics
 
 
 def run_command(argv):
@@ -22,7 +21,7 @@ def run_command(argv):
 
 def checkpoint(tmp_path, variant):
     path = tmp_path / "checkpoint.bin"
-    save_checkpoint(sp.init_sampler("vanilla", n=4, d=2, seed=variant), None, path)
+    save_checkpoint(*init_run(TrainConfig(n=4, latent_dim=2, hidden=4, seed=variant)), path)
     return path
 
 

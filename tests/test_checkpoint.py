@@ -12,6 +12,8 @@ from masko.cli import cli_main
 from masko.errors import FormatError
 from masko.training import TrainConfig, init_run
 
+from oracles import init_sampler
+
 
 def trained_checkpoint_bytes(sampler="vanilla", decoder="mlp"):
     params, dec = init_run(TrainConfig(n=4, sampler=sampler, decoder=decoder, hidden=4,
@@ -57,7 +59,7 @@ def test_trailing_bytes_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -0.3])
 def test_bad_temperature_rejected(tmp_path, lam):
-    params = sp.init_sampler("vanilla", n=4, d=2, seed=0)
+    params = init_sampler("vanilla", n=4, d=2, seed=0)
     blob = ck.sampler_to_bytes(params)
     path = tmp_path / "t.bin"
     path.write_bytes(blob[:-8] + struct.pack("<d", lam))
@@ -74,7 +76,7 @@ def test_bad_sampler_dimensions_rejected(n, d, k):
 
 
 def test_decoder_side_must_match_sampler(tmp_path):
-    params = sp.init_sampler("concrete", n=4, seed=0)
+    params = init_sampler("concrete", n=4, seed=0)
     _, dec = init_run(TrainConfig(n=3, hidden=4))
     path = tmp_path / "c.bin"
     path.write_bytes(ck.sampler_to_bytes(params) + ck.decoder_to_bytes(dec))

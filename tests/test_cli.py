@@ -8,14 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from masko import model as md
 from masko import samplers as sp
+from masko.checkpoint import sampler_to_bytes
 from masko.cli import RunConfig, cli_main
 from masko.data import load_idx, write_idx_images
 from masko.errors import ConfigError
-from masko.training import TrainConfig, save_checkpoint
+from masko.training import TrainConfig, init_run, save_checkpoint
 
-from oracles import read_pgm
+from oracles import init_sampler, read_pgm
 
 
 def write_config(path, **kv):
@@ -130,8 +130,8 @@ class TestConfigValidation:
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_zero_mc_samples_is_a_config_error(self, tmp_path, capsys):
-        p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        p, dec = init_run(TrainConfig(n=4, sampler="hypernet", latent_dim=2, rep_width=3, hidden=4))
+        save_checkpoint(p, dec, tmp_path / "ckpt.bin")
         code = cli_main(
             ["collapse", "--checkpoint", str(tmp_path / "ckpt.bin"), "--mc-samples", "0",
              "--out", str(tmp_path / "col")]
@@ -241,8 +241,7 @@ UNREAD_FLAGS = [
 class TestFlagGroups:
     @pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
     def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
-        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        save_checkpoint(*init_run(TrainConfig(n=8, latent_dim=8, hidden=32)), tmp_path / "ckpt.bin")
         cfg = write_config(tmp_path / "cfg.json")
         argv = [command, "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin")]
         assert cli_main([*argv, flag, value, "--out", str(tmp_path / "bad")]) == 1
@@ -268,18 +267,21 @@ class TestEvalCommand:
             assert float(r[1]) > 0
 
     def test_eval_requires_decoder(self, tmp_path, capsys):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
-        save_checkpoint(p, None, tmp_path / "sampler_only.bin")
+        # A checkpoint always holds its decoder: a file that ends after the
+        # sampler blob is truncated, for every command that reads one.
+        path = tmp_path / "sampler_only.bin"
+        path.write_bytes(sampler_to_bytes(init_sampler("vanilla", n=8, d=8)))
         cfg = write_config(tmp_path / "cfg.json")
-        code = cli_main(
-            ["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "sampler_only.bin")]
-        )
-        assert code == 1
-        assert "decoder" in capsys.readouterr().err
+        for command in ("eval", "collapse", "export-cov"):
+            out = tmp_path / command
+            code = cli_main([command, "--config", str(cfg), "--checkpoint", str(path), "--out", str(out)])
+            assert code == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "truncated" in err, err
+            assert not out.exists()
 
     def test_empty_test_split_is_an_error(self, tmp_path, capsys):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
-        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        save_checkpoint(*init_run(TrainConfig(n=8, latent_dim=8, hidden=32)), tmp_path / "ckpt.bin")
         write_idx_images(np.zeros((4, 8, 8)), tmp_path / "train.idx")
         write_idx_images(np.zeros((0, 8, 8)), tmp_path / "test.idx")
         cfg = write_config(
@@ -293,8 +295,7 @@ class TestEvalCommand:
         assert not (tmp_path / "ev" / "eval.csv").exists()
 
     def test_non_finite_test_pixel_is_an_error(self, tmp_path, capsys):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
-        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        save_checkpoint(*init_run(TrainConfig(n=8, latent_dim=8, hidden=32)), tmp_path / "ckpt.bin")
         images = np.zeros((4, 8, 8))
         write_idx_images(images, tmp_path / "train.idx", dtype="f64")
         images[2, 5, 1] = np.nan
@@ -312,8 +313,8 @@ class TestEvalCommand:
 class TestCollapseCommand:
     def test_untrained_centered_sampler(self, tmp_path, capsys):
         # all-zero biases collapse to probability one half everywhere
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=1)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        p, dec = init_run(TrainConfig(n=8, latent_dim=8, hidden=4, seed=1))
+        save_checkpoint(p, dec, tmp_path / "ckpt.bin")
         code = cli_main(
             ["collapse", "--checkpoint", str(tmp_path / "ckpt.bin"), "--out", str(tmp_path / "col")]
         )
@@ -331,7 +332,8 @@ class TestCollapseCommand:
     def test_expected_count_on_a_ten_gives_one_mask(self, tmp_path, capsys):
         b = np.where(np.arange(100) < 20, 1.0, -1.0)  # exactly 20 sure pixels
         p = sp.SamplerParams("vanilla", {"w": np.zeros((100, 4)), "b": b}, 0.3, 10, 4)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        _, dec = init_run(TrainConfig(n=10, hidden=4))
+        save_checkpoint(p, dec, tmp_path / "ckpt.bin")
         code = cli_main(
             ["collapse", "--checkpoint", str(tmp_path / "ckpt.bin"), "--out", str(tmp_path / "col")]
         )
@@ -348,9 +350,9 @@ class TestCollapseCommand:
 
     @pytest.mark.parametrize("command", ["collapse", "eval"])
     def test_non_finite_weight_leaves_no_output_directory(self, tmp_path, capsys, command):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=0)
+        p, dec = init_run(TrainConfig(n=8, latent_dim=8, hidden=32))
         p.arrays["w"][3, 2] = np.nan
-        save_checkpoint(p, md.init_decoder("mlp", n=8, hidden=32), tmp_path / "ckpt.bin")
+        save_checkpoint(p, dec, tmp_path / "ckpt.bin")
         cfg = write_config(tmp_path / "cfg.json")
         code = cli_main(
             [command, "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt.bin"),
@@ -363,8 +365,8 @@ class TestCollapseCommand:
 
 class TestExportCovCommand:
     def test_window_csv(self, tmp_path):
-        p = sp.init_sampler("vanilla", n=8, d=8, seed=2)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        p, dec = init_run(TrainConfig(n=8, latent_dim=8, hidden=4, seed=2))
+        save_checkpoint(p, dec, tmp_path / "ckpt.bin")
         code = cli_main(
             ["export-cov", "--checkpoint", str(tmp_path / "ckpt.bin"),
              "--cov-start", "4", "--cov-size", "16", "--out", str(tmp_path / "cov")]
@@ -376,8 +378,7 @@ class TestExportCovCommand:
         np.testing.assert_array_equal(mat, mat.T)
 
     def test_out_of_range_window(self, tmp_path, capsys):
-        p = sp.init_sampler("vanilla", n=4, d=4, seed=3)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        save_checkpoint(*init_run(TrainConfig(n=4, latent_dim=4, hidden=4, seed=3)), tmp_path / "ckpt.bin")
         code = cli_main(
             ["export-cov", "--checkpoint", str(tmp_path / "ckpt.bin"),
              "--cov-start", "10", "--cov-size", "100", "--out", str(tmp_path / "cov")]
@@ -391,8 +392,7 @@ class TestExportCovCommand:
     )
     def test_window_edges_and_huge_windows(self, tmp_path, capsys, start, size):
         # the last four would need terabytes or more if the window were materialized
-        p = sp.init_sampler("vanilla", n=4, d=4, seed=3)
-        save_checkpoint(p, None, tmp_path / "ckpt.bin")
+        save_checkpoint(*init_run(TrainConfig(n=4, latent_dim=4, hidden=4, seed=3)), tmp_path / "ckpt.bin")
         code = cli_main(
             ["export-cov", "--checkpoint", str(tmp_path / "ckpt.bin"),
              "--cov-start", str(start), "--cov-size", str(size), "--out", str(tmp_path / "cov")]

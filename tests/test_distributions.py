@@ -96,7 +96,7 @@ class TestLogitnormalPdf:
 def sample(kind, arrays, n, noise, lam, d=0):
     """Soft mask of a sampler built from ``arrays``, through ``sampler_forward``."""
     params = SamplerParams(kind, arrays, lam, n, d)
-    return sampler_forward(ad.Tape(), params, noise, StretchConfig()).soft.data
+    return sampler_forward(ad.Tape(), params, noise, StretchConfig(gamma=-0.1, eta=1.1)).soft.data
 
 
 class TestSampling:
@@ -182,7 +182,7 @@ class TestStretch:
 
 class TestExpectedL0:
     def test_saturated_mean(self):
-        closed = expected_l0(np.array([60.0]), np.array([1.0]), 1.0, StretchConfig())
+        closed = expected_l0(np.array([60.0]), np.array([1.0]), 1.0, StretchConfig(gamma=-0.1, eta=1.1))
         assert closed == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -214,13 +214,13 @@ class TestExpectedL0:
             assert abs(closed - mc) <= 3 * se, (mu, row_norm, lam, gamma, eta)
 
     def test_degenerate_rows_use_indicator(self):
-        cfg = StretchConfig()
+        cfg = StretchConfig(gamma=-0.1, eta=1.1)
         t = 0.3 * cfg.log_odds_threshold
         assert expected_l0(np.array([t - 0.01, t + 0.01]), np.zeros(2), 0.3, cfg) == 1.0
 
     @pytest.mark.parametrize("family", ["normal", "logistic"])
     def test_tensor_version_matches_and_differentiates(self, family):
-        cfg = StretchConfig()
+        cfg = StretchConfig(gamma=-0.1, eta=1.1)
         t = 0.3 * cfg.log_odds_threshold
         rng = np.random.default_rng(7)
         mu0 = rng.uniform(-1, 1, size=6)

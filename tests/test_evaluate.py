@@ -13,12 +13,12 @@ from masko import samplers as sp
 from masko import training as tr
 from masko.distributions import collapse_prob
 from masko.errors import ContractError, DimensionError, ParameterError
-from oracles import concrete_collapse_numpy
+from oracles import concrete_collapse_numpy, init_decoder, init_sampler
 
 
 class TestCollapse:
     def test_centered_sampler_half_probs(self):
-        p = sp.init_sampler("vanilla", n=4, d=8, seed=0)  # b = 0 at init
+        p = init_sampler("vanilla", n=4, d=8, seed=0)  # b = 0 at init
         c = ev.collapse_distribution(p)
         np.testing.assert_array_equal(c.probs, 0.5)
         assert c.l0_estimate == pytest.approx(16 / 2, abs=1e-12)
@@ -55,7 +55,7 @@ class TestCollapse:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
-        p = sp.init_sampler("vanilla", n=3, d=4, seed=1)
+        p = init_sampler("vanilla", n=3, d=4, seed=1)
         w, b = p.arrays["w"], p.arrays["b"]
         b[:] = rng.uniform(-1, 1, 9)
         base = ev.collapse_distribution(p)
@@ -71,7 +71,7 @@ class TestCollapse:
 
     def test_vanilla_estimate_matches_zero_temperature_form(self, numpy_law):
         rng = np.random.default_rng(2)
-        p = sp.init_sampler("vanilla", n=5, d=8, seed=2)
+        p = init_sampler("vanilla", n=5, d=8, seed=2)
         p.arrays["b"][:] = rng.uniform(-2, 2, 25)
         c = ev.collapse_distribution(p)
         mu, row_norm = numpy_law(p)
@@ -81,14 +81,14 @@ class TestCollapse:
     @pytest.mark.parametrize("kind", ["vanilla", "independent"])
     def test_analytic_collapse_is_collapse_prob_of_the_law(self, kind, numpy_law):
         rng = np.random.default_rng(5)
-        p = sp.init_sampler(kind, n=5, d=8, seed=5)
+        p = init_sampler(kind, n=5, d=8, seed=5)
         for a in p.arrays.values():
             a += rng.standard_normal(a.shape)
         c = ev.collapse_distribution(p)
         np.testing.assert_array_equal(c.probs.reshape(-1), collapse_prob(*numpy_law(p)))
 
     def test_hypernet_monte_carlo_matches_low_temperature_sampling(self):
-        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=3)
+        p = init_sampler("hypernet", n=3, d=4, k=8, seed=3)
         c = ev.collapse_distribution(p, mc_samples=4096, seed=3)
         # independent oracle: run the sampler at a tiny temperature
         rng = np.random.default_rng(33)
@@ -103,7 +103,7 @@ class TestCollapse:
         # the collapse contracts a (d*k, draws) Khatri-Rao product instead and
         # builds no block of W_z: 19.1 MiB peak, against 25.2 MiB for a
         # collapse that walks W_z in pixel blocks
-        p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=6)
+        p = init_sampler("hypernet", n=28, d=16, k=32, seed=6)
         tracemalloc.start()
         try:
             ev.collapse_distribution(p, mc_samples=1024, seed=6)
@@ -114,7 +114,7 @@ class TestCollapse:
 
     def test_factored_analytic_vs_monte_carlo_frequency(self):
         rng = np.random.default_rng(4)
-        p = sp.init_sampler("vanilla", n=4, d=8, seed=4)
+        p = init_sampler("vanilla", n=4, d=8, seed=4)
         w, b = p.arrays["w"], p.arrays["b"]
         b[:] = rng.uniform(-1.5, 1.5, 16)
         c = ev.collapse_distribution(p)
@@ -127,28 +127,28 @@ class TestCollapse:
         assert np.all(np.abs(freq - c.probs.reshape(-1)) < 3 * se)
 
     def test_non_finite_params_rejected(self):
-        p = sp.init_sampler("vanilla", n=3, d=4, seed=5)
+        p = init_sampler("vanilla", n=3, d=4, seed=5)
         p.arrays["w"][0, 0] = np.nan
         with pytest.raises(ContractError):
             ev.collapse_distribution(p)
 
     @pytest.mark.parametrize("kind", ["hypernet", "concrete"])
     def test_zero_mc_samples_rejected(self, kind):
-        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        p = init_sampler(kind, n=4, d=2, k=3, seed=0)
         with pytest.raises(ParameterError, match="mc_samples"):
             ev.collapse_distribution(p, mc_samples=0)
 
     @pytest.mark.parametrize("mc_samples", [0, 2.5])
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
     def test_mc_samples_not_a_positive_integer_rejected(self, kind, mc_samples):
-        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        p = init_sampler(kind, n=4, d=2, k=3, seed=0)
         with pytest.raises(ParameterError, match="mc_samples must be an integer"):
             ev.collapse_distribution(p, mc_samples=mc_samples)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, np.float64(2.0)])
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
     def test_seed_outside_the_stream_range_rejected(self, kind, seed):
-        p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+        p = init_sampler(kind, n=4, d=2, k=3, seed=0)
         with pytest.raises(ParameterError, match="seed must be an integer"):
             ev.collapse_distribution(p, mc_samples=4, seed=seed)
 
@@ -161,15 +161,15 @@ class TestCollapse:
         # A bool is an int: True was read as 1 draw, seed 1 or 1 image a batch.
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             if kind is None:
-                dec = md.init_decoder("mlp", n=4, hidden=4, rng=np.random.default_rng(0))
+                dec = init_decoder("mlp", n=4, hidden=4, rng=np.random.default_rng(0))
                 ev.eval_fixed_mask(np.ones((4, 4)), dec, np.zeros((2, 4, 4)), batch=True)
             else:
-                p = sp.init_sampler(kind, n=4, d=2, k=3, seed=0)
+                p = init_sampler(kind, n=4, d=2, k=3, seed=0)
                 ev.collapse_distribution(p, **{"mc_samples": 4, name: True})
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
     def test_seed_range_ends_accepted(self, seed):
-        p = sp.init_sampler("hypernet", n=4, d=2, k=3, seed=0)
+        p = init_sampler("hypernet", n=4, d=2, k=3, seed=0)
         assert ev.collapse_distribution(p, mc_samples=4, seed=seed).probs.shape == (4, 4)
 
 
@@ -179,7 +179,7 @@ class TestConcreteCollapse:
     @pytest.mark.parametrize("lo, hi", [(-0.11, -0.01), (-6.0, 6.0)])
     def test_matches_the_numpy_noise_bit_for_bit(self, lo, hi, n, mc_samples, seed):
         # (-0.11, -0.01) is the log alpha span after 56 benchmark steps
-        p = sp.init_sampler("concrete", n=n, seed=seed)
+        p = init_sampler("concrete", n=n, seed=seed)
         p.arrays["log_alpha"][:] = np.random.default_rng(seed).uniform(lo, hi, n * n)
         c = ev.collapse_distribution(p, mc_samples=mc_samples, seed=seed)
         expect = concrete_collapse_numpy(p, mc_samples, seed)
@@ -188,7 +188,7 @@ class TestConcreteCollapse:
     def test_monte_carlo_matches_the_zero_temperature_law(self):
         # at zero temperature a binary concrete sample is Bernoulli(expit(log alpha))
         draws = 4096
-        p = sp.init_sampler("concrete", n=8, seed=9)
+        p = init_sampler("concrete", n=8, seed=9)
         p.arrays["log_alpha"][:] = np.random.default_rng(9).uniform(-3.0, 3.0, 64)
         c = ev.collapse_distribution(p, mc_samples=draws, seed=9)
         law = expit(p.arrays["log_alpha"])
@@ -200,7 +200,7 @@ class TestEvalFixedMask:
     def setup_method(self):
         rng = np.random.default_rng(6)
         self.images = rng.random((40, 4, 4))
-        self.dec = md.init_decoder("mlp", n=4, hidden=16, rng=rng)
+        self.dec = init_decoder("mlp", n=4, hidden=16, rng=rng)
 
     def test_deterministic_bitwise(self):
         mask = np.ones((4, 4))
@@ -223,7 +223,7 @@ class TestEvalFixedMask:
         # decoder fitted on zero input should reach the dataset variance
         images = np.random.default_rng(8).random((48, 4, 4))
         flat = images.reshape(48, 16)
-        dec = md.init_decoder("mlp", n=4, hidden=16, rng=np.random.default_rng(8))
+        dec = init_decoder("mlp", n=4, hidden=16, rng=np.random.default_rng(8))
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
         dec.arrays["b3"][:] = flat.mean(axis=0)  # exact best constant per pixel
@@ -260,22 +260,22 @@ class TestExportCovariance:
         w = np.zeros((4, 4))
         np.fill_diagonal(w, 1.0)
         p = sp.SamplerParams("vanilla", {"w": w, "b": np.zeros(4)}, 0.3, 2, 4)
-        np.testing.assert_array_equal(ev.export_covariance(p), np.eye(4))
+        np.testing.assert_array_equal(ev.export_covariance(p, np.arange(4)), np.eye(4))
 
     def test_symmetric_bitwise_and_psd(self):
         rng = np.random.default_rng(9)
-        p = sp.init_sampler("vanilla", n=8, d=16, seed=9)
+        p = init_sampler("vanilla", n=8, d=16, seed=9)
         cov = ev.export_covariance(p, np.arange(10, 42))
         assert np.array_equal(cov, cov.T)
         eig = np.linalg.eigvalsh(cov)
         assert eig.min() >= -1e-9
 
     def test_window_bounds(self):
-        p = sp.init_sampler("vanilla", n=4, d=4, seed=10)
+        p = init_sampler("vanilla", n=4, d=4, seed=10)
         with pytest.raises(IndexError):
             ev.export_covariance(p, np.arange(10, 18))
 
     def test_requires_vanilla(self):
-        p = sp.init_sampler("independent", n=4, seed=11)
+        p = init_sampler("independent", n=4, seed=11)
         with pytest.raises(ContractError):
-            ev.export_covariance(p)
+            ev.export_covariance(p, np.arange(16))

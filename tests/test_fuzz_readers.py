@@ -12,18 +12,19 @@ import numpy as np
 import pytest
 
 from masko import checkpoint as ck
-from masko import model as md
 from masko import samplers as sp
 from masko.data import gen_digits, load_idx, write_idx_images
-from masko.errors import MaskoError
+from masko.errors import FormatError, MaskoError
+
+from oracles import init_decoder, init_sampler
 
 CASES = 400
 
 
 def checkpoint_file(tmp_path, kind):
     """A valid checkpoint and the offsets of its two headers' bytes."""
-    params = sp.init_sampler(kind, n=3, d=2, k=3, seed=1)
-    dec = md.init_decoder("mlp", n=3, hidden=4, rng=np.random.default_rng(1))
+    params = init_sampler(kind, n=3, d=2, k=3, seed=1)
+    dec = init_decoder("mlp", n=3, hidden=4, rng=np.random.default_rng(1))
     path = tmp_path / "valid.bin"
     ck.save_checkpoint(params, dec, path)
     dec_start = len(ck.sampler_to_bytes(params))
@@ -69,3 +70,14 @@ def test_corrupt_file_loads_or_raises_masko_error(tmp_path, name):
             pass
         except Exception as e:
             pytest.fail(f"case {case}: {type(e).__name__}: {e}")
+
+
+@pytest.mark.parametrize("kind", sp.KINDS)
+def test_checkpoint_cut_at_the_decoder_blob_is_truncated(tmp_path, kind):
+    # every checkpoint holds its decoder: a file that ends after the
+    # sampler blob is truncated, not a sampler-only checkpoint
+    valid, header, load = checkpoint_file(tmp_path, kind)
+    dec_start = header[21]  # the decoder header's first byte
+    valid.write_bytes(valid.read_bytes()[:dec_start])
+    with pytest.raises(FormatError, match="truncated"):
+        load(valid)

@@ -16,14 +16,14 @@ from masko import samplers as sp
 from masko.distributions import StretchConfig
 from masko.errors import DimensionError
 
-from oracles import conv2d_channel_major, expected_l0, grad_check
+from oracles import conv2d_channel_major, expected_l0, grad_check, init_decoder, init_sampler
 
 CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
 
 def identity_conv_decoder(n):
     """Conv decoder wired to pass nonnegative inputs through unchanged."""
-    dec = md.init_decoder("conv_resnet", n=n, filters=4, rng=np.random.default_rng(0))
+    dec = init_decoder("conv_resnet", n=n, filters=4, rng=np.random.default_rng(0))
     for name, arr in md.decoder_param_arrays(dec):
         arr[:] = 0.0
     dec.arrays["k_in"][0, 0, 1, 1] = 1.0
@@ -45,7 +45,7 @@ def mlp_forward_numpy(dec, x_cols):
 
 class TestDecoderForward:
     def test_zero_weights_constant_output(self):
-        dec = md.init_decoder("mlp", n=3, hidden=8, rng=np.random.default_rng(1))
+        dec = init_decoder("mlp", n=3, hidden=8, rng=np.random.default_rng(1))
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
         dec.arrays["b3"][:] = 0.42
@@ -59,7 +59,7 @@ class TestDecoderForward:
 
     def test_zero_residual_blocks_reduce_to_in_out_convs(self):
         rng = np.random.default_rng(3)
-        dec = md.init_decoder("conv_resnet", n=5, filters=4, rng=rng)
+        dec = init_decoder("conv_resnet", n=5, filters=4, rng=rng)
         for name in ("k1a", "b1a", "k1b", "b1b", "k2a", "b2a", "k2b", "b2b"):
             dec.arrays[name][:] = 0.0
         x = rng.random((25, 2))
@@ -80,7 +80,7 @@ class TestDecoderForward:
     @pytest.mark.parametrize("kind", ["mlp", "conv_resnet"])
     def test_gradcheck_all_parameters(self, kind):
         rng = np.random.default_rng(4)
-        dec = md.init_decoder(kind, n=3, hidden=6, filters=3, rng=rng)
+        dec = init_decoder(kind, n=3, hidden=6, filters=3, rng=rng)
         x0 = rng.random((9, 2))
         for name, base in md.decoder_param_arrays(dec):
 
@@ -100,7 +100,7 @@ class TestDecoderForward:
         # layer's output kept in the padded rows the next one reads, 5.4
         # with a padded copy of each input and a compact copy of each output.
         n, f, nb = 28, 16, 64
-        dec = md.init_decoder("conv_resnet", n=n, filters=f, rng=np.random.default_rng(0))
+        dec = init_decoder("conv_resnet", n=n, filters=f, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).random((n * n, nb))
         tracemalloc.start()
         try:
@@ -112,7 +112,7 @@ class TestDecoderForward:
         assert peak < 4.5 * activation_bytes
 
     def test_shape_validation(self):
-        dec = md.init_decoder("mlp", n=3, hidden=4)
+        dec = init_decoder("mlp", n=3, hidden=4)
         with pytest.raises(DimensionError):
             md.decoder_apply(dec, np.zeros((8, 2)))
 
@@ -123,7 +123,7 @@ class TestConvResnetBits:
 
     def run(self, conv, monkeypatch, nb, grads):
         rng = np.random.default_rng(nb)
-        dec = md.init_decoder("conv_resnet", n=28, filters=16, rng=rng)
+        dec = init_decoder("conv_resnet", n=28, filters=16, rng=rng)
         for name, arr in dec.arrays.items():
             if name.startswith("b"):
                 arr[:] = rng.standard_normal(arr.shape) * 0.1
@@ -165,7 +165,7 @@ class TestConvResnetBits:
             "from masko import autodiff as ad, model as md\n"
             "for filters in (16, 4):\n"
             "    rng = np.random.default_rng(28)\n"
-            "    dec = md.init_decoder('conv_resnet', n=28, filters=filters, rng=rng)\n"
+            "    dec = md.init_decoder('conv_resnet', 28, filters, rng)\n"
             "    for name, arr in dec.arrays.items():\n"
             "        if name.startswith('b'):\n"
             "            arr[:] = rng.standard_normal(arr.shape) * 0.1\n"
@@ -185,7 +185,7 @@ class TestConvResnetBits:
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             found.append(done.stdout.splitlines())
-        assert len(found[0]) == 2 * (1 + len(md.init_decoder("conv_resnet", n=28, filters=16).arrays))
+        assert len(found[0]) == 2 * (1 + len(init_decoder("conv_resnet", n=28, filters=16).arrays))
         assert found[0] == found[1]
 
 
@@ -198,7 +198,7 @@ class TestObjective:
 
     def test_dense_mask_identity_decoder(self):
         n = 4
-        p = sp.init_sampler("vanilla", n=n, d=4, seed=5)
+        p = init_sampler("vanilla", n=n, d=4, seed=5)
         p.arrays["b"][:] = 60.0
         dec = identity_conv_decoder(n)
         x = np.random.default_rng(5).random((16, 3))
@@ -210,11 +210,11 @@ class TestObjective:
 
     def test_empty_mask_constant_mean_decoder(self):
         n = 3
-        p = sp.init_sampler("vanilla", n=n, d=4, seed=7)
+        p = init_sampler("vanilla", n=n, d=4, seed=7)
         p.arrays["b"][:] = -60.0
         rng = np.random.default_rng(7)
         x = rng.random((9, 8))
-        dec = md.init_decoder("mlp", n=n, hidden=4, rng=rng)
+        dec = init_decoder("mlp", n=n, hidden=4, rng=rng)
         for _, arr in md.decoder_param_arrays(dec):
             arr[:] = 0.0
         dec.arrays["b3"][:] = x.mean(axis=1)  # best constant predictor per pixel
@@ -226,8 +226,8 @@ class TestObjective:
     def test_breakdown_matches_recomputation(self, kind, numpy_law):
         n = 3
         rng = np.random.default_rng(8)
-        p = sp.init_sampler(kind, n=n, d=4, seed=8)
-        dec = md.init_decoder("mlp", n=n, hidden=5, rng=rng)
+        p = init_sampler(kind, n=n, d=4, seed=8)
+        dec = init_decoder("mlp", n=n, hidden=5, rng=rng)
         x = rng.random((9, 4))
         noise = sp.draw_latent(p, rng, 4)
         lam_sparse = 0.3
@@ -251,10 +251,10 @@ class TestObjective:
 
     def test_hypernet_sparsity_is_per_draw_average(self):
         n, d, k = 2, 3, 4
-        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=9)
+        p = init_sampler("hypernet", n=n, d=d, k=k, seed=9)
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((d, 5))
-        dec = md.init_decoder("mlp", n=n, hidden=4, rng=rng)
+        dec = init_decoder("mlp", n=n, hidden=4, rng=rng)
         tape = ad.Tape()
         out = sp.sampler_forward(tape, p, noise, CFG)
         _, breakdown, _ = md.objective(out, tape.constant(rng.random((4, 5))), dec, 0.1, CFG)
@@ -278,9 +278,9 @@ class TestObjective:
 
     def test_total_linearity_in_lam(self):
         n = 3
-        p = sp.init_sampler("independent", n=n, seed=10)
+        p = init_sampler("independent", n=n, seed=10)
         rng = np.random.default_rng(10)
-        dec = md.init_decoder("mlp", n=n, hidden=4, rng=rng)
+        dec = init_decoder("mlp", n=n, hidden=4, rng=rng)
         x = rng.random((9, 4))
         noise = sp.draw_latent(p, rng, 4)
         vals = {}
@@ -296,10 +296,10 @@ class TestObjective:
         n = 3
         m = n * n
         rng = np.random.default_rng(11)
-        p = sp.init_sampler("vanilla", n=n, d=4, seed=11)
+        p = init_sampler("vanilla", n=n, d=4, seed=11)
         w, b = p.arrays["w"], p.arrays["b"]
         b[:] = rng.uniform(-0.5, 0.5, m)
-        dec = md.init_decoder("mlp", n=n, hidden=6, rng=rng)
+        dec = init_decoder("mlp", n=n, hidden=6, rng=rng)
         x = rng.random((m, 4))
         z = rng.standard_normal((4, 4))
         _, base, _ = self.run_objective(p, x, dec, 0.2, z)
@@ -317,8 +317,8 @@ class TestObjective:
     def test_gradcheck_sampler_and_decoder_params(self):
         n = 3
         rng = np.random.default_rng(12)
-        p = sp.init_sampler("vanilla", n=n, d=4, seed=12)
-        dec = md.init_decoder("mlp", n=n, hidden=5, rng=rng)
+        p = init_sampler("vanilla", n=n, d=4, seed=12)
+        dec = init_decoder("mlp", n=n, hidden=5, rng=rng)
         x0 = rng.random((9, 4))
         z0 = rng.standard_normal((4, 4))
 

@@ -12,8 +12,9 @@ from masko import samplers as sp
 from masko.distributions import StretchConfig
 from masko.errors import ConfigError, FormatError
 from masko.rng import stream
+from masko.training import TrainConfig, init_run
 
-from oracles import grad_check
+from oracles import grad_check, init_sampler
 
 CFG = StretchConfig(gamma=-0.1, eta=1.1)
 
@@ -53,7 +54,7 @@ class TestVanillaForward:
         assert grad_check(f, w0, max_coords=24) < 1e-4
 
     def test_reproducible_forward(self):
-        p = sp.init_sampler("vanilla", n=4, d=8, seed=3)
+        p = init_sampler("vanilla", n=4, d=8, seed=3)
         z = stream(3, 1).standard_normal((8, 5))
         a = forward_mean("vanilla", p, z)
         b = forward_mean("vanilla", p, z)
@@ -62,7 +63,7 @@ class TestVanillaForward:
     def test_pre_sigmoid_moments(self):
         # coordinate i of W z + b has mean b_i and variance sum_j W_ij^2
         rng = np.random.default_rng(1)
-        p = sp.init_sampler("vanilla", n=3, d=16, seed=5)
+        p = init_sampler("vanilla", n=3, d=16, seed=5)
         w, b = p.arrays["w"], p.arrays["b"]
         b[:] = rng.uniform(-0.5, 0.5, 9)
         n_draws = 100_000
@@ -78,7 +79,7 @@ class TestVanillaForward:
 
 class TestHypernetForward:
     def test_degenerate_network_constant_mask(self):
-        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=0)
+        p = init_sampler("hypernet", n=3, d=4, k=8, seed=0)
         for arr in p.arrays.values():
             arr[:] = 0
         beta = 0.7
@@ -88,7 +89,7 @@ class TestHypernetForward:
         np.testing.assert_allclose(out.soft.data, 1 / (1 + math.exp(-beta / p.lam)), rtol=1e-14)
 
     def test_distinct_draws_give_distinct_maps(self):
-        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=1)
+        p = init_sampler("hypernet", n=3, d=4, k=8, seed=1)
         tape = ad.Tape()
         z = np.random.default_rng(1).standard_normal((4, 2))
         out = sp.sampler_forward(tape, p, z, CFG)
@@ -100,14 +101,14 @@ class TestHypernetForward:
     @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 1), (3, 4, 8, 7), (8, 4, 8, 64), (28, 16, 32, 64)])
     def test_training_mask_is_sigmoid_of_pre_activation(self, n, d, k, nb):
         # training, calibration and collapse share one contraction, bit for bit
-        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=12)
+        p = init_sampler("hypernet", n=n, d=d, k=k, seed=12)
         z = np.random.default_rng(12).standard_normal((d, nb))
         soft = sp.sampler_forward(ad.Tape(), p, z, CFG).soft.data
         tape = ad.Tape()
         np.testing.assert_array_equal(soft, ad.sigmoid_temp(tape.constant(sp.hypernet_pre(p, z)), p.lam).data)
 
     def test_conditionally_deterministic(self):
-        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=2)
+        p = init_sampler("hypernet", n=3, d=4, k=8, seed=2)
         z = np.random.default_rng(2).standard_normal((4, 1))
         a = forward_mean("hypernet", p, z)
         b = forward_mean("hypernet", p, z)
@@ -116,7 +117,7 @@ class TestHypernetForward:
     def test_contraction_alone_carries_no_law(self):
         # without the row norm there is no scale, and a law whose scale is
         # None would read as the concrete kind's unit logistic
-        p = sp.init_sampler("hypernet", n=3, d=4, k=8, seed=2)
+        p = init_sampler("hypernet", n=3, d=4, k=8, seed=2)
         tape = ad.Tape()
         leaves = {name: tape.constant(arr) for name, arr in p.arrays.items()}
         z = tape.constant(np.random.default_rng(2).standard_normal((4, 3)))
@@ -126,7 +127,7 @@ class TestHypernetForward:
 
     def test_gradcheck_every_weight_tensor(self):
         n, d, k = 2, 3, 4
-        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=3)
+        p = init_sampler("hypernet", n=n, d=d, k=k, seed=3)
         # shrink weights so stretched values stay off the clamp boundaries
         for name, arr in p.arrays.items():
             if ".w" in name:
@@ -146,7 +147,7 @@ class TestHypernetForward:
 
     @pytest.mark.parametrize("n,d,k,nb", [(3, 4, 8, 7), (8, 4, 8, 64), (5, 3, 4, 130), (28, 16, 32, 256)])
     def test_pre_activation_is_pixels_by_draws(self, n, d, k, nb):
-        p = sp.init_sampler("hypernet", n=n, d=d, k=k, seed=11)
+        p = init_sampler("hypernet", n=n, d=d, k=k, seed=11)
         z = np.random.default_rng(11).standard_normal((d, nb))
         a = p.arrays
 
@@ -243,7 +244,7 @@ class TestHypernetHead:
     @pytest.mark.parametrize("nb", [65, 130, 255, 1025])
     def test_pre_activation_is_one_piece(self, nb):
         # all draws and all pixels in one evaluation: no block size can move the bits
-        p = sp.init_sampler("hypernet", n=28, d=16, k=32, seed=nb)
+        p = init_sampler("hypernet", n=28, d=16, k=32, seed=nb)
         z = np.random.default_rng(nb).standard_normal((16, nb))
         tape = ad.Tape()
         lv = {name: tape.constant(a) for name, a in p.arrays.items()}
@@ -270,7 +271,7 @@ class TestIndependentForward:
         np.testing.assert_allclose(out.soft.data, 0.5, atol=1e-12)
 
     def test_cross_pixel_independence(self):
-        p = sp.init_sampler("independent", n=2, seed=4)
+        p = init_sampler("independent", n=2, seed=4)
         rng = np.random.default_rng(4)
         n_draws = 10_000
         tape = ad.Tape()
@@ -327,7 +328,7 @@ class TestConcreteForward:
 
 class TestInit:
     def test_vanilla_bound(self):
-        p = sp.init_sampler("vanilla", n=8, d=16, seed=7)
+        p = init_sampler("vanilla", n=8, d=16, seed=7)
         a = math.sqrt(3.0 / 16)
         assert a == pytest.approx(0.433, abs=5e-4)
         assert np.abs(p.arrays["w"]).max() <= a
@@ -335,7 +336,7 @@ class TestInit:
 
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent"])
     def test_unit_pre_sigmoid_variance(self, kind):
-        p = sp.init_sampler(kind, n=8, d=16, k=32, seed=8)
+        p = init_sampler(kind, n=8, d=16, k=32, seed=8)
         rng = np.random.default_rng(8)
         n_draws = 10_000
         if kind == "vanilla":
@@ -349,7 +350,7 @@ class TestInit:
 
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
     def test_symmetric_tails_at_init(self, kind):
-        p = sp.init_sampler(kind, n=8, d=16, k=32, seed=9)
+        p = init_sampler(kind, n=8, d=16, k=32, seed=9)
         rng = np.random.default_rng(9)
         tape = ad.Tape()
         noise = sp.draw_latent(p, rng, 2_000)
@@ -369,7 +370,7 @@ class TestInit:
 
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent"])
     def test_no_interior_mode_at_init(self, kind):
-        p = sp.init_sampler(kind, n=4, d=16, k=32, seed=10)
+        p = init_sampler(kind, n=4, d=16, k=32, seed=10)
         rng = np.random.default_rng(10)
         tape = ad.Tape()
         out = sp.sampler_forward(tape, p, sp.draw_latent(p, rng, 7_000), CFG)
@@ -379,11 +380,11 @@ class TestInit:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            sp.init_sampler("other", n=4)
+            init_sampler("other", n=4)
 
     def test_deterministic_per_seed(self):
-        a = sp.init_sampler("hypernet", n=4, d=8, k=16, seed=11)
-        b = sp.init_sampler("hypernet", n=4, d=8, k=16, seed=11)
+        a = init_sampler("hypernet", n=4, d=8, k=16, seed=11)
+        b = init_sampler("hypernet", n=4, d=8, k=16, seed=11)
         for (_, x), (_, y) in zip(sp.param_arrays(a), sp.param_arrays(b)):
             np.testing.assert_array_equal(x, y)
 
@@ -391,11 +392,15 @@ class TestInit:
 class TestCheckpointFormat:
     @pytest.mark.parametrize("kind", ["vanilla", "hypernet", "independent", "concrete"])
     def test_round_trip(self, tmp_path, kind):
-        p = sp.init_sampler(kind, n=5, d=6, k=8, lam=0.27, seed=12)
+        p, dec = init_run(TrainConfig(n=5, sampler=kind, latent_dim=6, rep_width=8, lam_temp=0.27,
+                                      seed=12, hidden=4))
         path = tmp_path / "ckpt.bin"
-        ck.save_checkpoint(p, None, path)
-        q, dec = ck.load_checkpoint(path)
-        assert dec is None
+        ck.save_checkpoint(p, dec, path)
+        q, dec_read = ck.load_checkpoint(path)
+        assert (dec_read.kind, dec_read.n, dec_read.width) == ("mlp", 5, 4)
+        assert list(dec_read.arrays) == list(dec.arrays)
+        for name, a in dec.arrays.items():
+            np.testing.assert_array_equal(a, dec_read.arrays[name])
         assert q.kind == kind
         assert (q.lam, q.n, q.d, q.k) == (p.lam, p.n, p.d, p.k)
         for (na, a), (nb, b) in zip(sp.param_arrays(p), sp.param_arrays(q)):
@@ -403,7 +408,7 @@ class TestCheckpointFormat:
             np.testing.assert_array_equal(a, b)
 
     def test_header_layout(self):
-        p = sp.init_sampler("vanilla", n=3, d=2, lam=0.5, seed=13)
+        p = init_sampler("vanilla", n=3, d=2, lam=0.5, seed=13)
         blob = ck.sampler_to_bytes(p)
         assert blob[:4] == b"MSKO"
         version, tag = int.from_bytes(blob[4:8], "little"), blob[8]
@@ -414,14 +419,14 @@ class TestCheckpointFormat:
         assert len(blob) == 21 + 8 * (18 + 9 + 1)
 
     def test_bad_magic(self):
-        p = sp.init_sampler("concrete", n=2, seed=14)
+        p = init_sampler("concrete", n=2, seed=14)
         blob = bytearray(ck.sampler_to_bytes(p))
         blob[:4] = b"XXXX"
         with pytest.raises(FormatError):
             ck.read_sampler(io.BytesIO(bytes(blob)))
 
     def test_truncated(self):
-        p = sp.init_sampler("independent", n=2, seed=15)
+        p = init_sampler("independent", n=2, seed=15)
         blob = ck.sampler_to_bytes(p)
         with pytest.raises(FormatError):
             ck.read_sampler(io.BytesIO(blob[: len(blob) - 4]))
